@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace lapse {
 namespace ps {
@@ -40,16 +39,6 @@ LatchTable::LatchTable(size_t num_latches, const KeyLayout* layout)
   per_shard_mask_ = per_shard_ - 1;
   num_latches_ = per_shard_ * shards;
   slots_.reset(new Slot[num_latches_]);
-}
-
-size_t LatchTable::IndexOf(Key k) const {
-  // Mix so that contiguous key ranges (which one worker often touches
-  // together) spread across latches; power-of-two per-shard size makes this
-  // a mask. Partitioned pools prepend the key's shard so distinct shards
-  // occupy disjoint slot ranges.
-  const size_t within = Mix64(k) & per_shard_mask_;
-  if (layout_ == nullptr) return within;
-  return static_cast<size_t>(layout_->Shard(k)) * per_shard_ + within;
 }
 
 }  // namespace ps

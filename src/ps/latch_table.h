@@ -7,6 +7,7 @@
 
 #include "net/message.h"
 #include "ps/key_layout.h"
+#include "util/rng.h"
 #include "util/thread_annotations.h"
 
 namespace lapse {
@@ -95,8 +96,17 @@ class LatchTable {
   Latch& ByIndex(size_t i) { return slots_[i].mu; }
 
   // Index of the latch guarding key k; exposed so callers that lock several
-  // keys can deduplicate/order latch acquisitions to avoid deadlock.
-  size_t IndexOf(Key k) const;
+  // keys can deduplicate/order latch acquisitions to avoid deadlock. Inline:
+  // every fast-path key pays this lookup.
+  size_t IndexOf(Key k) const {
+    // Mix so that contiguous key ranges (which one worker often touches
+    // together) spread across latches; power-of-two per-shard size makes
+    // this a mask. Partitioned pools prepend the key's shard so distinct
+    // shards occupy disjoint slot ranges.
+    const size_t within = Mix64(k) & per_shard_mask_;
+    if (layout_ == nullptr) return within;
+    return static_cast<size_t>(layout_->Shard(k)) * per_shard_ + within;
+  }
 
   size_t size() const { return num_latches_; }
 

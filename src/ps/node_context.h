@@ -80,9 +80,20 @@ struct ArrivingKey {
 //    cache lines the fast paths already own; inserting a field mid-struct
 //    shifts them onto new lines and showed up as a double-digit-percent
 //    local-op regression.
-//  * Never call Counter::Add(0) unconditionally on a fast path: the add
-//    still dirties the counter's cache line. Guard it --
-//    `if (n > 0) stats.c.Add(n)` -- or batch into a local and add once.
+//  * Never call Counter::Add on a fast path. The worker-written counters
+//    (local/remote/replica key reads and writes, queued_local_ops) are
+//    summed in plain Worker members and published here by
+//    Worker::PublishStats at Barrier(), WaitAll(), on every op's slow
+//    path, every Worker::kPublishEveryOps fast-path ops and at teardown.
+//    A new worker-written counter joins that batch.
+//  * Publish only positive counts -- `if (n > 0) stats.c.Add(n)`: an
+//    Add(0) still dirties the counter's cache line, and count() == 0 must
+//    keep meaning "never happened".
+// For those counters sum() is exact once published at the points above
+// (between two barriers, after PsSystem::Run) and lags each running worker
+// by at most kPublishEveryOps - 1 fast-path ops otherwise; count() counts
+// publications, not operations; and ResetStats() is valid only while no
+// worker runs (a running worker would publish pre-reset counts after it).
 // The same discipline applies to observability hooks: one predictable
 // branch (null/zero check) per operation is the budget, everything else
 // runs only for sampled ops or off the hot path entirely.
@@ -190,9 +201,10 @@ struct NodeContext {
   std::atomic<int64_t> processed_msgs{0};
 
   // Node-level counters written by this node's *workers* (local/remote
-  // reads+writes, queued ops, replica reads/writes). Server-thread-written
-  // counters live in shard_stats below so concurrent shard drains never
-  // share a counter cache line.
+  // reads+writes, queued ops, replica reads/writes -- batched per worker,
+  // see the RULES above ServerStats). Server-thread-written counters live
+  // in shard_stats below so concurrent shard drains never share a counter
+  // cache line.
   ServerStats stats;
 
   // One ServerStats per server shard, written only by the owning drain

@@ -73,8 +73,9 @@ class PsSystem {
   const KeyLayout& layout() const { return layout_; }
   net::NetStats& net_stats() { return network_.stats(); }
   // Node-level stats: the worker-written fields (local/remote reads and
-  // writes, queued ops, replica reads/writes). Server-written fields live
-  // in shard_stats(n, s); use the Node* aggregation helpers below.
+  // writes, queued ops, replica reads/writes; exact between two barriers
+  // and after Run, see the RULES above ServerStats). Server-written fields
+  // live in shard_stats(n, s); use the Node* aggregation helpers below.
   ServerStats& node_stats(NodeId n) { return nodes_[n]->stats; }
   // Per-shard stats written by shard s's drain thread of node n.
   ServerStats& shard_stats(NodeId n, int s) {
@@ -133,6 +134,8 @@ class PsSystem {
   int64_t TotalRelocatedKeys() const;
   double MeanRelocationNs() const;
 
+  // Zeroes every stats struct. Only valid while no worker runs (between
+  // Run calls): a running worker publishes its batched counts later.
   void ResetStats();
 
  private:

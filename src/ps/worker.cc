@@ -1,7 +1,6 @@
 #include "ps/worker.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/logging.h"
 #include "util/timer.h"
@@ -63,10 +62,24 @@ Worker::~Worker() {
   // sibling worker's -- drains are idempotent) before draining tracked
   // ops, so a phase boundary never strands aggregated updates locally.
   FlushReplicas();
-  // Release any batch the coalescer still holds: its queued sub-ops can
-  // never complete unsent, and WaitAll below waits on them.
-  if (coalescer_) coalescer_->DrainAll();
-  tracker_->WaitAll();
+  // Releases any batch the coalescer still holds (its queued sub-ops can
+  // never complete unsent) before waiting on them, and publishes the
+  // access counters.
+  WaitAll();
+}
+
+void Worker::PublishStats() {
+  ServerStats& s = ctx_->stats;
+  PendingStats& p = pending_;
+  if (p.local_reads > 0) s.local_key_reads.Add(p.local_reads);
+  if (p.remote_reads > 0) s.remote_key_reads.Add(p.remote_reads);
+  if (p.replica_reads > 0) s.replica_key_reads.Add(p.replica_reads);
+  if (p.local_writes > 0) s.local_key_writes.Add(p.local_writes);
+  if (p.remote_writes > 0) s.remote_key_writes.Add(p.remote_writes);
+  if (p.replica_writes > 0) s.replica_key_writes.Add(p.replica_writes);
+  if (p.queued > 0) s.queued_local_ops.Add(p.queued);
+  p = PendingStats();
+  publish_countdown_ = kPublishEveryOps;
 }
 
 #ifndef NDEBUG
@@ -81,23 +94,36 @@ void Worker::CheckDistinct(const std::vector<Key>& keys) const {
 }
 #endif
 
+void Worker::RecordIssue(obs::OpKind kind, uint64_t op, int64_t t_issue) {
+  trace_ring_->TryPush(obs::TraceEvent::Issue(
+      obs::PackUid(ctx_->node, thread_, op), kind, t_issue, ctx_->node));
+}
+
 void Worker::RecordTrace(obs::OpKind kind, uint64_t op, int64_t t_issue,
-                         int64_t replica_misses, bool completed) {
+                         int64_t replica_misses) {
+  const bool inline_done = op == kImmediate;
   const uint64_t raw =
-      op == kImmediate ? (obs::kInlineOpBit | ++trace_inline_seq_) : op;
+      inline_done ? (obs::kInlineOpBit | ++trace_inline_seq_) : op;
   const uint64_t uid = obs::PackUid(ctx_->node, thread_, raw);
   const int64_t now = NowNanos();
-  trace_ring_->TryPush(
-      obs::TraceEvent::Issue(uid, kind, t_issue, ctx_->node));
+  if (inline_done) {
+    trace_ring_->TryPush(
+        obs::TraceEvent::Issue(uid, kind, t_issue, ctx_->node));
+  }
   trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kLocal,
                                             now - t_issue, ctx_->node));
   for (int64_t i = 0; i < replica_misses; ++i) {
     trace_ring_->TryPush(
         obs::TraceEvent::Mark(uid, obs::Phase::kReplicaMiss, ctx_->node));
   }
-  if (completed) {
+  if (inline_done) {
     trace_ring_->TryPush(obs::TraceEvent::Complete(uid, now, ctx_->node));
   }
+}
+
+void Worker::RecordComplete(uint64_t op) {
+  trace_ring_->TryPush(obs::TraceEvent::Complete(
+      obs::PackUid(ctx_->node, thread_, op), NowNanos(), ctx_->node));
 }
 
 void Worker::RecordAccessSample(const std::vector<Key>& keys,
@@ -171,20 +197,18 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
         break;
       }
       const size_t len = layout.Length(k);
-      std::memcpy(dst + done_off, Slot(k), len * sizeof(Val));
+      CopyVals(dst + done_off, Slot(k), len);
       latch.unlock();
       done_off += len;
     }
     if (done == keys.size()) {
-      ctx_->stats.local_key_reads.Add(static_cast<int64_t>(keys.size()) -
-                                      replica_reads);
-      if (replica_reads > 0) {
-        ctx_->stats.replica_key_reads.Add(replica_reads);
-      }
+      pending_.local_reads +=
+          static_cast<int64_t>(keys.size()) - replica_reads;
+      pending_.replica_reads += replica_reads;
       if (traced) {
-        RecordTrace(obs::OpKind::kPull, kImmediate, t_issue, trace_misses,
-                    /*completed=*/true);
+        RecordTrace(obs::OpKind::kPull, kImmediate, t_issue, trace_misses);
       }
+      CountFastOp();
       return kImmediate;
     }
   }
@@ -201,6 +225,9 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
   }
   const uint64_t op = tracker_->Create(dst, sc.key_offsets, NowNanos());
+  // Issue goes out before any of the op's keys is handed to another thread
+  // (a send, or the arrival queue below).
+  if (traced) RecordIssue(obs::OpKind::kPull, op, t_issue);
   if (coalescer_) coalescer_->BeginOp(op, traced);
 
   size_t inline_done = 0;
@@ -219,8 +246,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
       LatchGuard latch(ctx_->latches->ForKey(k));
       const KeyState state = ctx_->StateOf(k);
       if (state == KeyState::kOwned) {
-        std::memcpy(dst + off, Slot(k),
-                    layout.Length(k) * sizeof(Val));
+        CopyVals(dst + off, Slot(k), layout.Length(k));
         ++inline_done;
         ++local_reads;
         handled = true;
@@ -262,10 +288,12 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
   }
 
-  ctx_->stats.local_key_reads.Add(local_reads);
-  if (replica_reads > 0) ctx_->stats.replica_key_reads.Add(replica_reads);
-  ctx_->stats.remote_key_reads.Add(remote_reads);
-  ctx_->stats.queued_local_ops.Add(queued);
+  pending_.local_reads += local_reads;
+  pending_.replica_reads += replica_reads;
+  pending_.remote_reads += remote_reads;
+  pending_.queued += queued;
+  PublishStats();
+  if (traced) RecordTrace(obs::OpKind::kPull, op, t_issue, trace_misses);
 
   for (const NodeId slot : sc.groups.touched()) {
     Message m;
@@ -283,10 +311,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
   }
   if (coalescer_) coalescer_->EndOp();
 
-  const bool done_now = tracker_->CompleteKeys(op, inline_done);
-  if (traced) {
-    RecordTrace(obs::OpKind::kPull, op, t_issue, trace_misses, done_now);
-  }
+  if (tracker_->CompleteKeys(op, inline_done) && traced) RecordComplete(op);
   return op;
 }
 
@@ -337,16 +362,15 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
       done_off += len;
     }
     if (done == keys.size()) {
-      ctx_->stats.local_key_writes.Add(static_cast<int64_t>(keys.size()) -
-                                       replica_folds);
-      if (replica_folds > 0) {
-        ctx_->stats.replica_key_writes.Add(replica_folds);
-      }
+      pending_.local_writes +=
+          static_cast<int64_t>(keys.size()) - replica_folds;
+      pending_.replica_writes += replica_folds;
       if (traced) {
         RecordTrace(obs::OpKind::kPush, kImmediate, t_issue,
-                    /*replica_misses=*/0, /*completed=*/true);
+                    /*replica_misses=*/0);
       }
       if (flush_due) FlushReplicas();
+      CountFastOp();
       return kImmediate;
     }
   }
@@ -362,6 +386,7 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     }
   }
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  if (traced) RecordIssue(obs::OpKind::kPush, op, t_issue);
   if (coalescer_) coalescer_->BeginOp(op, traced);
 
   size_t inline_done = 0;
@@ -436,10 +461,14 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     }
   }
 
-  ctx_->stats.local_key_writes.Add(local_writes);
-  ctx_->stats.remote_key_writes.Add(remote_writes);
-  if (replica_folds > 0) ctx_->stats.replica_key_writes.Add(replica_folds);
-  ctx_->stats.queued_local_ops.Add(queued);
+  pending_.local_writes += local_writes;
+  pending_.remote_writes += remote_writes;
+  pending_.replica_writes += replica_folds;
+  pending_.queued += queued;
+  PublishStats();
+  if (traced) {
+    RecordTrace(obs::OpKind::kPush, op, t_issue, /*replica_misses=*/0);
+  }
 
   for (const NodeId slot : sc.groups.touched()) {
     Message m;
@@ -458,11 +487,7 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
   }
   if (coalescer_) coalescer_->EndOp();
 
-  const bool done_now = tracker_->CompleteKeys(op, inline_done);
-  if (traced) {
-    RecordTrace(obs::OpKind::kPush, op, t_issue, /*replica_misses=*/0,
-                done_now);
-  }
+  if (tracker_->CompleteKeys(op, inline_done) && traced) RecordComplete(op);
   // After the op's own sends: FlushReplicas reuses the grouping scratch.
   if (flush_due) FlushReplicas();
   return op;
@@ -490,7 +515,7 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
   if (sc.localize_keys.empty()) {
     if (traced) {
       RecordTrace(obs::OpKind::kLocalize, kImmediate, t_issue,
-                  /*replica_misses=*/0, /*completed=*/true);
+                  /*replica_misses=*/0);
     }
     return kImmediate;
   }
@@ -502,6 +527,7 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
   sc.key_offsets.clear();
   for (const Key k : sc.localize_keys) sc.key_offsets.emplace_back(k, 0);
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  if (traced) RecordIssue(obs::OpKind::kLocalize, op, t_issue);
 
   size_t inline_done = 0;
   sc.groups.Begin();
@@ -535,6 +561,9 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
         broadcast_reloc ? RemoteDst(k) : ctx_->layout->Home(k);
     sc.groups.AddKey(GroupSlot(dst, k), k);
   }
+  if (traced) {
+    RecordTrace(obs::OpKind::kLocalize, op, t_issue, /*replica_misses=*/0);
+  }
 
   for (const NodeId slot : sc.groups.touched()) {
     const NodeId dst_node = GroupNode(slot);
@@ -567,11 +596,7 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
     endpoint_->Send(std::move(m));
   }
 
-  const bool done_now = tracker_->CompleteKeys(op, inline_done);
-  if (traced) {
-    RecordTrace(obs::OpKind::kLocalize, op, t_issue, /*replica_misses=*/0,
-                done_now);
-  }
+  if (tracker_->CompleteKeys(op, inline_done) && traced) RecordComplete(op);
   return op;
 }
 
@@ -665,6 +690,10 @@ uint64_t Worker::SendGroupedPushes() {
   // localized here since its last fold routes through its home and comes
   // straight back -- the relocation protocol already handles that.
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
+  if (traced) {
+    RecordIssue(obs::OpKind::kFlush, op, t_issue);
+    RecordTrace(obs::OpKind::kFlush, op, t_issue, /*replica_misses=*/0);
+  }
   for (const NodeId slot : sc.groups.touched()) {
     Message m;
     m.type = MsgType::kPush;
@@ -676,10 +705,6 @@ uint64_t Worker::SendGroupedPushes() {
     m.keys = sc.groups.TakeKeys(slot);
     m.vals = sc.groups.TakeVals(slot);
     endpoint_->Send(std::move(m));
-  }
-  if (traced) {
-    RecordTrace(obs::OpKind::kFlush, op, t_issue, /*replica_misses=*/0,
-                /*completed=*/false);
   }
   return op;
 }
@@ -834,8 +859,9 @@ bool Worker::PullIfLocal(Key k, Val* dst) {
   if (owned_hint) {
     LatchGuard latch(ctx_->latches->ForKey(k));
     if (ctx_->StateOf(k) == KeyState::kOwned) {
-      std::memcpy(dst, Slot(k), ctx_->layout->Length(k) * sizeof(Val));
-      ctx_->stats.local_key_reads.Add(1);
+      CopyVals(dst, Slot(k), ctx_->layout->Length(k));
+      ++pending_.local_reads;
+      CountFastOp();
       return true;
     }
   }
@@ -845,7 +871,8 @@ bool Worker::PullIfLocal(Key k, Val* dst) {
   // non-blocking: TryRead only takes the replica's own latch, the same
   // bounded spin as the owned path above.
   if (replicas_ != nullptr && replicas_->TryRead(k, dst)) {
-    ctx_->stats.replica_key_reads.Add(1);
+    ++pending_.replica_reads;
+    CountFastOp();
     return true;
   }
   return false;

@@ -107,12 +107,15 @@ class Worker {
   // sub-op can never complete before its batch is sent); WaitAll drains
   // every held batch, so barriers never stall on the delay trigger. Ops
   // already on the wire -- and kImmediate -- skip the drain, which is what
-  // lets windowed async workloads actually accumulate batches.
+  // lets windowed async workloads actually accumulate batches. WaitAll
+  // also publishes this worker's access counters (see PublishStats).
   void Wait(uint64_t op) {
+    if (op == kImmediate) return;
     if (coalescer_) coalescer_->DrainIfQueued(op);
     tracker_->Wait(op);
   }
   void WaitAll() {
+    PublishStats();
     if (coalescer_) coalescer_->DrainAll();
     tracker_->WaitAll();
   }
@@ -147,8 +150,13 @@ class Worker {
   // exposes locality).
   bool IsLocal(Key k) const;
 
-  // Global synchronization barrier across all workers of the system.
-  void Barrier() { barrier_->Wait(); }
+  // Global synchronization barrier across all workers of the system. Every
+  // worker publishes its access counters on entry, so node stats read
+  // between two barriers are exact.
+  void Barrier() {
+    PublishStats();
+    barrier_->Wait();
+  }
 
   NodeId node() const { return ctx_->node; }
   int worker_id() const { return global_id_; }
@@ -225,12 +233,47 @@ class Worker {
     return true;
   }
 
-  // Emits the worker-side events of one traced operation (kIssue, kLocal,
-  // replica-miss marks, and kComplete when the op finished inline). Out of
-  // line: runs once per obs.sample_every operations. `op` == kImmediate
-  // gets a synthetic per-thread uid (the tracker never saw the op).
+  // Emits the worker-side events of one traced operation: kLocal (issue
+  // until now) and replica-miss marks. `op` == kImmediate (the op finished
+  // inline) gets a synthetic per-thread uid, since the tracker never saw
+  // it, and its kIssue and kComplete here. A tracked op calls it before its
+  // first send, so the server-side events of its messages -- kComplete
+  // above all -- cannot reach the collector ahead of it. Out of line: runs
+  // once per obs.sample_every operations.
   void RecordTrace(obs::OpKind kind, uint64_t op, int64_t t_issue,
-                   int64_t replica_misses, bool completed);
+                   int64_t replica_misses);
+  // kIssue of a tracked op, recorded right after the tracker created it:
+  // its keys can reach a server thread through the arrival queue even
+  // before the first send.
+  void RecordIssue(obs::OpKind kind, uint64_t op, int64_t t_issue);
+  // kComplete of a tracked op that this worker's own CompleteKeys
+  // finished.
+  void RecordComplete(uint64_t op);
+
+  // Worker-written node counters (ServerStats local/remote/replica key
+  // reads and writes, queued_local_ops), summed in plain integers so the
+  // fast paths pay no lock-prefixed add, and published into ctx_->stats by
+  // PublishStats: at Barrier(), WaitAll(), on every op's slow path, every
+  // kPublishEveryOps fast-path ops and at teardown.
+  struct PendingStats {
+    int64_t local_reads = 0;
+    int64_t remote_reads = 0;
+    int64_t replica_reads = 0;
+    int64_t local_writes = 0;
+    int64_t remote_writes = 0;
+    int64_t replica_writes = 0;
+    int64_t queued = 0;
+  };
+  static constexpr uint32_t kPublishEveryOps = 4096;
+
+  // Adds the pending counts to ctx_->stats (guarded: a zero count is not
+  // published) and restarts the countdown.
+  void PublishStats();
+
+  // Per-op countdown of the fast paths.
+  void CountFastOp() {
+    if (--publish_countdown_ == 0) PublishStats();
+  }
 
   // Reusable per-op buffers: cleared every operation, never shrunk, so the
   // hot path performs no heap allocation in steady state. A Worker is owned
@@ -268,6 +311,8 @@ class Worker {
   uint32_t trace_period_ = 0;
   uint32_t trace_countdown_ = 0;
   uint64_t trace_inline_seq_ = 0;  // uid source for inline-completed ops
+  PendingStats pending_;
+  uint32_t publish_countdown_ = kPublishEveryOps;
   // Bounded-delay request coalescer (null unless Config::coalescing, which
   // keeps the disabled cost at one branch per op).
   std::unique_ptr<Coalescer> coalescer_;

@@ -48,11 +48,21 @@ class Rng {
 };
 
 // SplitMix64 step; exposed for deterministic hashing/seeding elsewhere.
-uint64_t SplitMix64(uint64_t& state);
+inline uint64_t SplitMix64(uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 // Stateless mix of a 64-bit value (finalizer of SplitMix64). Useful as a
-// cheap hash for keys.
-uint64_t Mix64(uint64_t x);
+// cheap hash for keys. Inline: the latch lookup hashes every key of every
+// fast-path operation.
+inline uint64_t Mix64(uint64_t x) {
+  uint64_t state = x;
+  return SplitMix64(state);
+}
 
 }  // namespace lapse
 

@@ -208,6 +208,24 @@ TEST(LatchTableTest, IndexWithinBounds) {
   }
 }
 
+TEST(LatchTableTest, MappingIsStable) {
+  // Golden latch indices (Mix64 of the key, masked; partitioned pools
+  // prepend the key's shard): which keys share a latch must not change.
+  LatchTable flat(1000);
+  const KeyLayout layout(64, 1, 2, 4);
+  LatchTable partitioned(1000, &layout);
+  ASSERT_EQ(flat.size(), 1024u);
+  ASSERT_EQ(partitioned.size(), 1024u);
+  const Key keys[] = {0, 7, 13, 40, 63};
+  const size_t want_flat[] = {431, 471, 767, 274, 565};
+  const size_t want_partitioned[] = {175, 215, 511, 274, 821};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(flat.IndexOf(keys[i]), want_flat[i]) << "key " << keys[i];
+    EXPECT_EQ(partitioned.IndexOf(keys[i]), want_partitioned[i])
+        << "key " << keys[i];
+  }
+}
+
 TEST(LatchTableTest, SpreadsKeys) {
   LatchTable latches(64);
   std::vector<int> counts(64, 0);

@@ -209,6 +209,97 @@ TEST(WorkerTest, ClassicCountsRemoteEvenOnSingleNode) {
   EXPECT_EQ(system.TotalRemoteReads(), 10);
 }
 
+// Workers sum their access counters in plain integers and publish them at
+// Barrier(), WaitAll(), on the slow path, every few thousand fast-path ops
+// and at teardown. Node stats must then be exact between two barriers and
+// after Run, for local, remote and queued (arriving-key) accesses alike.
+TEST(WorkerTest, BatchedCountersExactAtBarrierAndAfterRun) {
+  Config cfg;
+  cfg.num_nodes = 2;
+  cfg.workers_per_node = 2;
+  cfg.num_keys = 64;
+  cfg.uniform_value_length = 2;
+  cfg.arch = Architecture::kLapse;
+  cfg.latency = net::LatencyConfig::Zero();
+  // A relocation takes two 100 ms hops, so the pull and push issued right
+  // after LocalizeAsync find their key arriving and queue behind it.
+  cfg.latency.remote_base_ns = 100'000'000;
+  cfg.latency.idle_spin_ns = 0;
+  PsSystem system(cfg);
+  const KeyLayout& layout = system.layout();
+
+  // Per worker: more fast-path ops than one publication period, a few
+  // remote ops, and one queued pull and push.
+  constexpr int64_t kLocalPulls = 5000, kLocalPushes = 3000;
+  constexpr int64_t kRemotePulls = 3, kRemotePushes = 2;
+  constexpr int64_t kTailPulls = 100, kTailPushes = 50;
+  constexpr int64_t kWorkers = 4;
+  // Each node's home range: [0, 16) local traffic of its own workers,
+  // [16, 24) remote traffic of the other node's, 24 + slot one key the
+  // other node's worker `slot` localizes.
+  auto home_key = [&](NodeId n, uint64_t i) {
+    return static_cast<Key>(layout.HomeBegin(n) + i);
+  };
+  auto expect_totals = [&](int64_t tail_pulls, int64_t tail_pushes) {
+    EXPECT_EQ(system.TotalLocalReads(),
+              kWorkers * (kLocalPulls + 1 + tail_pulls));
+    EXPECT_EQ(system.TotalLocalWrites(),
+              kWorkers * (kLocalPushes + 1 + tail_pushes));
+    EXPECT_EQ(system.TotalRemoteReads(), kWorkers * kRemotePulls);
+    EXPECT_EQ(system.TotalRemoteWrites(), kWorkers * kRemotePushes);
+    for (NodeId n = 0; n < 2; ++n) {
+      // Two workers per node, one queued pull and push each.
+      EXPECT_EQ(system.node_stats(n).queued_local_ops.sum(), 2 * 2);
+    }
+  };
+
+  system.Run([&](Worker& w) {
+    const NodeId own = w.node();
+    const NodeId other = 1 - own;
+    const uint64_t slot = static_cast<uint64_t>(w.worker_id() % 2);
+    std::vector<Val> buf(2);
+    const std::vector<Val> upd = {1.0f, 1.0f};
+    std::vector<Val> remote_buf(2 * kRemotePulls);
+    for (int64_t i = 0; i < kRemotePulls; ++i) {
+      w.PullAsync({home_key(other, 16 + static_cast<uint64_t>(i))},
+                  remote_buf.data() + 2 * i);
+    }
+    for (int64_t i = 0; i < kRemotePushes; ++i) {
+      w.PushAsync({home_key(other, 20 + static_cast<uint64_t>(i))},
+                  upd.data());
+    }
+    const Key arriving = home_key(other, 24 + slot);
+    w.LocalizeAsync({arriving});
+    w.PullAsync({arriving}, buf.data());
+    w.PushAsync({arriving}, upd.data());
+    w.WaitAll();
+    // Fast-path ops between WaitAll and the barrier: the barrier is what
+    // publishes the last of them.
+    for (int64_t i = 0; i < kLocalPulls; ++i) {
+      w.Pull({home_key(own, static_cast<uint64_t>(i) % 16)}, buf.data());
+    }
+    for (int64_t i = 0; i < kLocalPushes; ++i) {
+      w.Push({home_key(own, static_cast<uint64_t>(i) % 16)}, upd.data());
+    }
+
+    w.Barrier();
+    if (w.worker_id() == 0) expect_totals(0, 0);
+    w.Barrier();
+
+    // Fast-path ops after the last barrier: only the end of Run
+    // publishes them.
+    for (int64_t i = 0; i < kTailPulls; ++i) {
+      w.Pull({home_key(own, static_cast<uint64_t>(i) % 16)}, buf.data());
+    }
+    for (int64_t i = 0; i < kTailPushes; ++i) {
+      w.Push({home_key(own, static_cast<uint64_t>(i) % 16)}, upd.data());
+    }
+  });
+  expect_totals(kTailPulls, kTailPushes);
+  EXPECT_EQ(system.TotalReplicaReads(), 0);
+  EXPECT_EQ(system.TotalReplicaWrites(), 0);
+}
+
 TEST(WorkerTest, SparseStorageBackend) {
   Config cfg = SmallConfig(Architecture::kLapse);
   cfg.storage = StorageKind::kSparse;
