@@ -35,9 +35,11 @@
 //   wait_frac_within_2x_delay -- fraction of sub-ops held <= 2x delay
 //                        (bar >= 0.95)
 //   wait_p99_us       -- informational; includes host-deschedule stalls
+//   hardware_threads  -- std::thread::hardware_concurrency()
 
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -203,6 +205,8 @@ int main() {
       "off vs on; phase 2 paces ops so the age trigger governs and checks "
       "the held-time p99 against the 2x-delay contract");
 
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::printf("hardware threads: %u\n", hw);
   std::printf("phase 1: deep-window remote pulls, %" PRId64
               " us server CPU per message\n",
               kServeNsPerMsg / 1000);
@@ -239,6 +243,7 @@ int main() {
       {"wait_p50_us", static_cast<double>(wait.p50) * 1e-3, 0.0},
       {"wait_frac_within_2x_delay", frac_within, 0.95},
       {"wait_p99_us", static_cast<double>(wait.p99) * 1e-3, 0.0},
+      {"hardware_threads", static_cast<double>(hw), 0.0},
   };
   if (!bench::WriteBenchJson("BENCH_coalescing.json", "micro_coalescing",
                              metrics)) {

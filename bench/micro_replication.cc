@@ -26,8 +26,13 @@
 // A second suite measures WRITE AGGREGATION on a write-heavy mix
 // (--write-frac, default 0.5): the same pinned hot set, manual pinning
 // (isolating aggregation from detection), aggregation on vs off. The
-// "owner-bound messages" rows count kPush messages on the wire during the
-// measure phase -- Petuum-style accumulators must cut them by >= 2x.
+// "owner-bound messages" rows count push envelopes (kBatchOp) on the wire
+// during the measure phase -- Petuum-style accumulators must cut them by
+// >= 2x. Pulls share the envelope type, so the count is exact by
+// construction: every remote read here is one single-key sync pull and
+// nothing relocates (no forwards), so push messages = delta kBatchOp -
+// delta remote reads. The write-through run checks that this equals its
+// remote writes (one sync push each).
 //
 // A third suite measures ADAPTIVE FLUSH SIZING on a skewed-write mix:
 // writes are Zipf-concentrated on the pinned hot set, so per-key write
@@ -36,8 +41,8 @@
 // flush per few folds even on the hottest keys; adaptive sizing scales
 // each pinned key's cap with its observed write rate between the floor
 // and the global cap, so hot writers batch deep while cold writers keep
-// flushing promptly. Rows: owner-bound kPush messages, flat-floor vs
-// adaptive (reduction bar >= 1.5).
+// flushing promptly. Rows: owner-bound push messages, counted as above,
+// flat-floor vs adaptive (reduction bar >= 1.5).
 
 #include <cstdio>
 #include <cstdlib>
@@ -180,9 +185,22 @@ constexpr uint64_t kPinnedRanks = 64;  // the shared hot set every node pins
 constexpr int kWriteWarmupRounds = 1;
 constexpr int kWriteMeasureRounds = 2;
 
+// The counters behind the exact push message count (see the header).
+struct WireCounts {
+  int64_t batch_ops = 0;
+  int64_t remote_reads = 0;
+  int64_t remote_writes = 0;
+};
+
+WireCounts ReadWireCounts(ps::PsSystem& system) {
+  return {system.net_stats().MessagesOfType(net::MsgType::kBatchOp),
+          system.TotalRemoteReads(), system.TotalRemoteWrites()};
+}
+
 struct WriteHeavyResult {
   double steady_ops_per_sec = 0;
-  int64_t owner_push_msgs = 0;  // kPush messages during the measure phase
+  int64_t owner_push_msgs = 0;  // push messages during the measure phase
+  int64_t remote_writes = 0;    // remote key writes in the measure phase
   int64_t folds = 0;            // pushes aggregated locally
 };
 
@@ -197,7 +215,7 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
   const int total_rounds = kWriteWarmupRounds + kWriteMeasureRounds;
   WriteHeavyResult result;
   std::vector<double> round_secs(total_rounds, 0.0);
-  int64_t push_msgs_at_measure_start = 0;
+  WireCounts at_start;
 
   system.Run([&](ps::Worker& w) {
     const NodeId node = w.node();
@@ -215,11 +233,9 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
       w.Barrier();
       if (round == kWriteWarmupRounds) {
         // Snapshot between two barriers: no worker is pushing while the
-        // baseline message count is read.
-        if (node == 0) {
-          push_msgs_at_measure_start =
-              system.net_stats().MessagesOfType(net::MsgType::kPush);
-        }
+        // baseline counts are read, and every worker published its access
+        // counters on entering the barrier.
+        if (node == 0) at_start = ReadWireCounts(system);
         w.Barrier();
       }
       if (node == 0) round_timer.Restart();
@@ -244,9 +260,10 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
   }
   result.steady_ops_per_sec =
       per_round_ops * kWriteMeasureRounds / steady_secs;
-  result.owner_push_msgs =
-      system.net_stats().MessagesOfType(net::MsgType::kPush) -
-      push_msgs_at_measure_start;
+  const WireCounts end = ReadWireCounts(system);
+  result.owner_push_msgs = (end.batch_ops - at_start.batch_ops) -
+                           (end.remote_reads - at_start.remote_reads);
+  result.remote_writes = end.remote_writes - at_start.remote_writes;
   for (NodeId n = 0; n < kNodes; ++n) {
     result.folds += system.replica_manager(n)->stats().folds;
   }
@@ -260,7 +277,7 @@ constexpr uint32_t kFlushGlobalCap = 32;
 
 struct AdaptiveFlushResult {
   double steady_ops_per_sec = 0;
-  int64_t owner_push_msgs = 0;  // kPush messages during the measure phase
+  int64_t owner_push_msgs = 0;  // push messages during the measure phase
   double hot_key_cap = 0;       // node 0's learned cap for the hottest key
 };
 
@@ -293,7 +310,7 @@ AdaptiveFlushResult RunSkewedWrites(double write_frac, bool adaptive) {
   const int total_rounds = kWriteWarmupRounds + kWriteMeasureRounds;
   AdaptiveFlushResult result;
   std::vector<double> round_secs(total_rounds, 0.0);
-  int64_t push_msgs_at_measure_start = 0;
+  WireCounts at_start;
 
   system.Run([&](ps::Worker& w) {
     const NodeId node = w.node();
@@ -310,10 +327,7 @@ AdaptiveFlushResult RunSkewedWrites(double write_frac, bool adaptive) {
     for (int round = 0; round < total_rounds; ++round) {
       w.Barrier();
       if (round == kWriteWarmupRounds) {
-        if (node == 0) {
-          push_msgs_at_measure_start =
-              system.net_stats().MessagesOfType(net::MsgType::kPush);
-        }
+        if (node == 0) at_start = ReadWireCounts(system);
         w.Barrier();
       }
       if (node == 0) round_timer.Restart();
@@ -339,9 +353,9 @@ AdaptiveFlushResult RunSkewedWrites(double write_frac, bool adaptive) {
   }
   result.steady_ops_per_sec =
       per_round_ops * kWriteMeasureRounds / steady_secs;
-  result.owner_push_msgs =
-      system.net_stats().MessagesOfType(net::MsgType::kPush) -
-      push_msgs_at_measure_start;
+  const WireCounts end = ReadWireCounts(system);
+  result.owner_push_msgs = (end.batch_ops - at_start.batch_ops) -
+                           (end.remote_reads - at_start.remote_reads);
   result.hot_key_cap =
       static_cast<double>(system.replica_manager(0)->FlushCap(KeyFor(0)));
   return result;
@@ -395,6 +409,15 @@ int main(int argc, char** argv) {
   std::printf("  [off] steady %.0f ops/s, %lld owner-bound push msgs\n",
               agg_off.steady_ops_per_sec,
               static_cast<long long>(agg_off.owner_push_msgs));
+  // Write-through: every remote write is its own sync push message.
+  if (agg_off.owner_push_msgs != agg_off.remote_writes) {
+    std::fprintf(stderr,
+                 "push message count %lld != remote writes %lld in the "
+                 "write-through run\n",
+                 static_cast<long long>(agg_off.owner_push_msgs),
+                 static_cast<long long>(agg_off.remote_writes));
+    return 1;
+  }
   std::printf("write-heavy mix, aggregation on...\n");
   const WriteHeavyResult agg_on =
       RunWriteHeavy(write_frac, /*aggregation=*/true);

@@ -42,27 +42,32 @@ std::vector<std::vector<Val>>& ValPool() {
   return pool;
 }
 
+std::vector<std::vector<int64_t>>& AuxPool() {
+  static thread_local std::vector<std::vector<int64_t>> pool;
+  return pool;
+}
+
 }  // namespace
 
 std::vector<Key> BufferPool::GetKeys() { return PoolGet(KeyPool()); }
 std::vector<Val> BufferPool::GetVals() { return PoolGet(ValPool()); }
+std::vector<int64_t> BufferPool::GetAux() { return PoolGet(AuxPool()); }
 void BufferPool::PutKeys(std::vector<Key> v) {
   PoolPut(KeyPool(), std::move(v));
 }
 void BufferPool::PutVals(std::vector<Val> v) {
   PoolPut(ValPool(), std::move(v));
 }
+void BufferPool::PutAux(std::vector<int64_t> v) {
+  PoolPut(AuxPool(), std::move(v));
+}
 
 const char* MsgTypeName(MsgType type) {
   switch (type) {
-    case MsgType::kPull:
-      return "Pull";
-    case MsgType::kPullResp:
-      return "PullResp";
-    case MsgType::kPush:
-      return "Push";
-    case MsgType::kPushAck:
-      return "PushAck";
+    case MsgType::kBatchOp:
+      return "BatchOp";
+    case MsgType::kBatchResp:
+      return "BatchResp";
     case MsgType::kLocalize:
       return "Localize";
     case MsgType::kRelocateInstruct:
@@ -93,10 +98,6 @@ const char* MsgTypeName(MsgType type) {
       return "SspPushUpdates";
     case MsgType::kBlockTransfer:
       return "BlockTransfer";
-    case MsgType::kBatchOp:
-      return "BatchOp";
-    case MsgType::kBatchResp:
-      return "BatchResp";
     case MsgType::kShutdown:
       return "Shutdown";
     case MsgType::kNumTypes:
@@ -109,7 +110,7 @@ std::string Message::DebugString() const {
   std::ostringstream os;
   os << MsgTypeName(type) << " " << src_node << ":" << src_thread << " -> "
      << dst_node << " op=" << op_id << " orig=" << orig_node << ":"
-     << orig_thread << " keys=" << keys.size() << " vals=" << val_count()
+     << orig_thread << " keys=" << keys.size() << " vals=" << vals.size()
      << " hops=" << hops;
   return os.str();
 }

@@ -179,13 +179,13 @@ struct Config {
   uint32_t replica_flush_max_folds = 32;
 
   // --- bounded-delay request coalescing (ps::Coalescer) -----------------
-  // Master switch: each worker merges its async pull/push ops destined for
-  // remote shards into per-(destination node, shard) batched wire messages
-  // (net::MsgType::kBatchOp) instead of paying one message per op. A batch
-  // is released by a dual trigger -- coalesce_max_ops queued ops, or the
-  // oldest queued op reaching coalesce_delay_micros -- and Wait/WaitAll
-  // force an immediate drain, so barriers never stall on a held batch.
-  // Off (the default) costs one branch per op on the async paths.
+  // Every remote pull/push travels in a per-(destination node, shard)
+  // envelope (net::MsgType::kBatchOp); this switch only decides whether a
+  // worker may hold an envelope for more async ops instead of sending it
+  // when the op that filled it finishes issuing. A held batch is released
+  // by a dual trigger -- coalesce_max_ops queued ops, or the oldest queued
+  // op reaching coalesce_delay_micros -- and Wait/WaitAll force an
+  // immediate drain, so barriers never stall on a held batch.
   bool coalescing = false;
   // Age trigger: a worker's queued batch is sent once its oldest op has
   // waited this long (checked at the next op issued by that worker). This

@@ -10,44 +10,30 @@
 namespace lapse {
 namespace ps {
 
-// Flat node-indexed grouping of an operation's keys (and optionally value
-// slices) by destination, replacing per-op std::map grouping. Owned by one
-// thread as a reusable scratch: buffers are cleared per op, never shrunk,
-// so grouping allocates nothing in steady state. Usage per op:
+// Flat node-indexed grouping of a control message's keys (localize,
+// relocation instruct, replica registration) by destination, replacing
+// per-op std::map grouping. Pulls and pushes are grouped by the envelope
+// builders instead (ps::Coalescer, ps::Envelope). Owned by one thread as a
+// reusable scratch. Usage per op:
 //
 //   groups.Begin();
-//   groups.AddKey(dst, k);              // and AddVals(dst, p, n) for pushes
+//   groups.AddKey(dst, k);
 //   for (NodeId n : groups.touched()) {
 //     msg.keys = groups.TakeKeys(n);    // moves the buffer out and replaces
-//     msg.vals = groups.TakeVals(n);    // it with an empty one
-//   }
+//   }                                   // it with an empty one
 class DestGroups {
  public:
-  void Resize(size_t num_nodes) {
-    keys_.resize(num_nodes);
-    vals_.resize(num_nodes);
-  }
+  void Resize(size_t num_nodes) { keys_.resize(num_nodes); }
 
   void Begin() { touched_.clear(); }
 
   void AddKey(NodeId dst, Key k) {
     auto& group = keys_[dst];
-    if (group.empty()) {
-      touched_.push_back(dst);
-      // Keys-only callers never drain vals_; drop anything a previous op
-      // left behind so it cannot leak into this op's payload.
-      vals_[dst].clear();
-    }
+    if (group.empty()) touched_.push_back(dst);
     group.push_back(k);
   }
 
-  void AddVals(NodeId dst, const Val* data, size_t n) {
-    vals_[dst].insert(vals_[dst].end(), data, data + n);
-  }
-
   const std::vector<NodeId>& touched() const { return touched_; }
-
-  const std::vector<Key>& KeysOf(NodeId dst) const { return keys_[dst]; }
 
   // Move a group's buffer into a message, leaving an empty (but valid)
   // vector behind so the slot is reusable next op.
@@ -56,15 +42,9 @@ class DestGroups {
     keys_[dst].clear();
     return out;
   }
-  std::vector<Val> TakeVals(NodeId dst) {
-    std::vector<Val> out = std::move(vals_[dst]);
-    vals_[dst].clear();
-    return out;
-  }
 
  private:
   std::vector<std::vector<Key>> keys_;
-  std::vector<std::vector<Val>> vals_;
   std::vector<NodeId> touched_;
 };
 

@@ -14,14 +14,15 @@ namespace ps {
 //
 // Under the home-node strategy, node n's table is authoritative only for
 // the keys homed at n (the rest is unused). Under broadcast-relocations,
-// every node maintains a (possibly slightly stale) full mirror. Entries are
-// atomics because the server thread writes them while worker threads read
-// them for routing.
+// every node maintains a full mirror that lags the true owner by at most
+// the location mails in flight. Entries are atomics because the server
+// thread writes them while worker threads read them for routing.
 class LocationTable {
  public:
   // Initializes every key's owner to its home node (the initial allocation
-  // of a classic PS).
-  explicit LocationTable(const KeyLayout* layout);
+  // of a classic PS). `epochs` adds the hand-over epochs of the
+  // broadcast-relocations mirrors (SetOwnerAt).
+  LocationTable(const KeyLayout* layout, bool epochs);
 
   NodeId Owner(Key k) const {
     return owner_[k].load(std::memory_order_acquire);
@@ -30,8 +31,21 @@ class LocationTable {
     owner_[k].store(node, std::memory_order_release);
   }
 
+  // Broadcast-relocations mirrors: every hand-over of key k opens a new
+  // epoch, and a mirror takes an owner only from a newer epoch, so location
+  // mails that race each other still converge on the last hand-over. Only
+  // the server thread of k's shard calls these (it handles every hand-over,
+  // transfer and location mail of k).
+  uint32_t Epoch(Key k) const { return epoch_[k]; }
+  void SetOwnerAt(Key k, NodeId node, uint32_t epoch) {
+    if (epoch <= epoch_[k]) return;
+    epoch_[k] = epoch;
+    SetOwner(k, node);
+  }
+
  private:
   std::vector<std::atomic<NodeId>> owner_;
+  std::vector<uint32_t> epoch_;  // empty unless constructed with epochs
 };
 
 // Optional per-node location cache (Section 3.3). Entries are hints only:

@@ -40,8 +40,7 @@ enum class KeyState : uint8_t {
 
 // A local worker operation deferred because its key is currently arriving.
 struct DeferredLocalOp {
-  net::MsgType type;  // kPull or kPush
-  Key key;
+  bool is_push = false;
   Val* pull_dst = nullptr;        // for pulls
   std::vector<Val> push_update;   // for pushes (copied)
   int32_t worker_thread = -1;     // issuing worker slot
@@ -53,9 +52,9 @@ struct DeferredLocalOp {
   int64_t queued_ns = 0;
 };
 
-// Items queued for an arriving key, in arrival order: local ops, forwarded
-// remote ops (kept as single-key messages), and relocation instructions
-// (a chained localize that must transfer the key away once it lands).
+// Items queued for an arriving key, in arrival order: local ops, remote
+// ones (one-entry kBatchOp envelopes), and relocation instructions (a
+// chained localize that must transfer the key away once it lands).
 using Deferred = std::variant<DeferredLocalOp, net::Message>;
 
 struct ArrivingKey {

@@ -52,6 +52,9 @@ class OpTracker {
   // Registers an operation over `key_offsets.size()` keys. Returns its id.
   // `key_offsets` is copied into a recycled op slot, so callers can pass a
   // reusable scratch buffer; in steady state no allocation happens here.
+  // The op also holds one count for its issuer: however fast other threads
+  // complete its keys, it stays open until the issuing call has recorded
+  // it and calls Release.
   uint64_t Create(Val* pull_dst,
                   const std::vector<std::pair<Key, size_t>>& key_offsets,
                   int64_t issue_ns) {
@@ -68,12 +71,14 @@ class OpTracker {
     } else {
       op = &ops_[id];
     }
-    op->remaining.store(key_offsets.size(), std::memory_order_relaxed);
+    op->remaining.store(key_offsets.size() + 1, std::memory_order_relaxed);
     op->pull_dst = pull_dst;
     op->key_offsets.insert(op->key_offsets.end(), key_offsets.begin(),
                            key_offsets.end());
     std::sort(op->key_offsets.begin(), op->key_offsets.end());
     op->issue_ns = issue_ns;
+    issuing_ = op;
+    issuing_id_ = id;
     return id;
   }
 
@@ -111,6 +116,20 @@ class OpTracker {
       return true;
     }
     return false;
+  }
+
+  // The issuer's last call on op `id`, the op it created last: completes
+  // the `inline_keys` keys it served itself and drops the issuer's hold.
+  // Returns true iff this call completed the op. Lock-free: only the
+  // issuer inserts or retires ops, so the op cannot move, and the issuer
+  // is the op's only waiter, so no wakeup is owed.
+  bool Release(uint64_t id, size_t inline_keys) {
+    LAPSE_CHECK_EQ(id, issuing_id_);
+    const size_t n = inline_keys + 1;
+    const size_t before =
+        issuing_->remaining.fetch_sub(n, std::memory_order_acq_rel);
+    LAPSE_CHECK_GE(before, n);
+    return before == n;
   }
 
   // Issue timestamp of op `id` (0 if unknown/retired).
@@ -211,6 +230,9 @@ class OpTracker {
   OpMap ops_ LAPSE_GUARDED_BY(mu_);
   std::vector<OpMap::node_type> spare_ops_ LAPSE_GUARDED_BY(mu_);
   uint64_t next_id_ LAPSE_GUARDED_BY(mu_) = 1;
+  // The op Create made last, for the issuer's Release (issuer-only).
+  OpState* issuing_ = nullptr;
+  uint64_t issuing_id_ = 0;
 };
 
 }  // namespace ps

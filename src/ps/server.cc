@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "ps/coalescer.h"
 #include "util/logging.h"
 #include "util/timer.h"
 #include "util/vec_ops.h"
@@ -18,8 +17,8 @@ using net::MsgType;
 
 namespace {
 
-// Header-only copy of a request for single-key deferral: everything except
-// the payload (which the caller fills with just the deferred key's slice).
+// Copy of relocation request `msg` (a localize or instruct) for key k
+// alone, to defer or chase it.
 Message SingleKeyCopy(const Message& msg, Key k) {
   Message d;
   d.type = msg.type;
@@ -32,6 +31,45 @@ Message SingleKeyCopy(const Message& msg, Key k) {
   d.deliver_ns = msg.deliver_ns;  // deferral start for the stall phase
   d.keys.push_back(k);
   return d;
+}
+
+// An empty envelope of `type` for the sub-ops of origin thread
+// (orig_node, orig_thread). The envelope itself is nobody's op.
+Message EnvelopeFor(MsgType type, NodeId orig_node, int32_t orig_thread) {
+  Message m;
+  m.type = type;
+  m.orig_node = orig_node;
+  m.orig_thread = orig_thread;
+  m.op_id = OpTracker::kImmediate;
+  return m;
+}
+
+// An empty kRelocateTransfer to the requester of relocation request `req`
+// (a localize or instruct), completing the requester's localize op.
+Message TransferFor(const Message& req) {
+  Message t;
+  t.type = MsgType::kRelocateTransfer;
+  t.dst_node = req.requester_node;
+  t.requester_node = req.requester_node;
+  t.orig_node = req.orig_node;
+  t.orig_thread = req.orig_thread;
+  t.op_id = req.op_id;
+  t.traced = req.traced;
+  t.keys = BufferPool::GetKeys();
+  t.vals = BufferPool::GetVals();
+  return t;
+}
+
+// A kBatchOp holding the single entry (k, word) with update `vals` (n
+// values), behind the sub-ops of `op_words` that the entry references.
+Message OneEntry(NodeId orig_node, int32_t orig_thread,
+                 const int64_t* op_words, Key k, int64_t word,
+                 const Val* vals, size_t n) {
+  Envelope e;
+  e.Add(k, word, vals, n);
+  Message m = EnvelopeFor(MsgType::kBatchOp, orig_node, orig_thread);
+  e.Seal(op_words, &m);
+  return m;
 }
 
 }  // namespace
@@ -47,6 +85,7 @@ Server::Server(NodeContext* ctx, net::Network* network, int shard)
           ctx->node,
           shard == 0 ? 0 : ctx->config->workers_per_node + 1 + shard)) {
   groups_.Resize(static_cast<size_t>(network->num_nodes()));
+  fwd_.resize(static_cast<size_t>(network->num_nodes()));
   if (ctx_->obs != nullptr) {
     trace_ring_ = ctx_->obs->Ring(
         shard == 0 ? 0 : ctx->config->workers_per_node + 1 + shard);
@@ -70,40 +109,40 @@ void Server::Run() {
   }
 }
 
+void Server::RecordOpsPhase(const Message& msg, obs::Phase phase,
+                            int64_t dur_ns) {
+  auto record = [&](uint64_t op_id) {
+    trace_ring_->TryPush(obs::TraceEvent::Dur(
+        obs::PackUid(msg.orig_node, msg.orig_thread, op_id), phase, dur_ns,
+        ctx_->node));
+  };
+  if (msg.type != MsgType::kBatchOp && msg.type != MsgType::kBatchResp) {
+    if (msg.op_id != OpTracker::kImmediate) record(msg.op_id);
+    return;
+  }
+  const EnvelopeView in(msg);
+  for (size_t s = 0; s < in.n_ops; ++s) {
+    if (IsTraced(in.ops[s])) record(OpIdOf(in.ops[s]));
+  }
+}
+
 void Server::RecordHop(const Message& msg) {
-  const uint64_t uid =
-      obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id);
-  trace_ring_->TryPush(obs::TraceEvent::Dur(
-      uid, obs::Phase::kQueue, NowNanos() - msg.deliver_ns, ctx_->node));
-  trace_ring_->TryPush(obs::TraceEvent::Dur(
-      uid, obs::Phase::kNet, msg.deliver_ns - msg.send_ns, ctx_->node));
+  RecordOpsPhase(msg, obs::Phase::kQueue, NowNanos() - msg.deliver_ns);
+  RecordOpsPhase(msg, obs::Phase::kNet, msg.deliver_ns - msg.send_ns);
 }
 
 void Server::Handle(Message& msg) {
   stats_->backlog_ns[static_cast<size_t>(msg.type)].Add(
       NowNanos() - msg.deliver_ns);
-  if (msg.traced && trace_ring_ != nullptr &&
-      msg.op_id != OpTracker::kImmediate) {
-    RecordHop(msg);
-  }
+  if (msg.traced && trace_ring_ != nullptr) RecordHop(msg);
   LAPSE_CHECK_LE(msg.hops, 4 * network_->num_nodes())
       << "routing loop: " << msg.DebugString();
   switch (msg.type) {
-    case MsgType::kPull:
-    case MsgType::kPush:
-      HandleOp(msg);
-      break;
     case MsgType::kBatchOp:
-      HandleBatchOp(msg);
+      HandleRequest(msg);
       break;
     case MsgType::kBatchResp:
-      HandleBatchResp(msg);
-      break;
-    case MsgType::kPullResp:
-      HandlePullResp(msg);
-      break;
-    case MsgType::kPushAck:
-      HandlePushAck(msg);
+      HandleResponse(msg);
       break;
     case MsgType::kLocalize:
       HandleLocalize(msg);
@@ -157,315 +196,163 @@ NodeId Server::RouteDst(Key k) const {
   return 0;
 }
 
-void Server::ServeOwnedKey(const Message& msg, size_t /*key_index*/, Key k,
-                           const Val* push_vals,
-                           std::vector<Key>* reply_keys,
-                           std::vector<Val>* reply_vals) {
-  const size_t len = ctx_->layout->Length(k);
-  Val* slot = ctx_->store->GetOrCreate(k);
-  if (msg.type == MsgType::kPull) {
-    reply_keys->push_back(k);
-    reply_vals->insert(reply_vals->end(), slot, slot + len);
-  } else {
-    AddTo(slot, push_vals, len);
-    reply_keys->push_back(k);
-  }
-}
-
-void Server::HandleOp(Message& msg) {
-  const bool is_pull = (msg.type == MsgType::kPull);
-  std::vector<Key> reply_keys = BufferPool::GetKeys();
-  std::vector<Val> reply_vals = BufferPool::GetVals();
-  // Forwards grouped by destination (message grouping, Section 3.7) in the
-  // flat node-indexed scratch.
-  groups_.Begin();
-
-  const Val* vals = msg.val_data();
+void Server::HandleRequest(Message& msg) {
+  const EnvelopeView in(msg);
   size_t val_off = 0;
   for (size_t i = 0; i < msg.keys.size(); ++i) {
     const Key k = msg.keys[i];
-    const size_t len = is_pull ? 0 : ctx_->layout->Length(k);
-    const Val* push_vals = is_pull ? nullptr : vals + val_off;
-    val_off += len;
-
+    const Val* push_vals = msg.vals.data() + val_off;
+    if (IsPush(in.words[i])) val_off += ctx_->layout->Length(k);
     LatchGuard latch(ctx_->latches->ForKey(k));
-    const KeyState state = ctx_->StateOf(k);
-    if (state == KeyState::kOwned) {
-      ServeOwnedKey(msg, i, k, push_vals, &reply_keys, &reply_vals);
-      continue;
-    }
-    if (state != KeyState::kArriving) {
-      if (ctx_->config->strategy == LocationStrategy::kBroadcastOps) {
-        continue;  // some other node owns this key and will answer
-      }
-      const NodeId dst = RouteDst(k);
-      if (dst != ctx_->node) {
-        groups_.AddKey(dst, k);
-        if (!is_pull) groups_.AddVals(dst, push_vals, len);
-        continue;
-      }
-      // Mid-relocation race: our owner view already points at this node but
-      // the transfer has not landed (state is not yet kArriving when the
-      // localize came from one of our own workers whose marking raced us, or
-      // the owner view was updated by HandleLocalize before the transfer).
-      // Forwarding would self-send and ping-pong; queue on the arrival
-      // queue instead -- the transfer that made the view point here will
-      // drain it.
-    }
-    // Queue a single-key copy until the relocation finishes (§3.2).
-    Message d = SingleKeyCopy(msg, k);
-    if (!is_pull) d.vals.assign(push_vals, push_vals + len);
-    ctx_->QueueDeferred(k, std::move(d));
+    RouteEntry(msg, in, k, in.words[i], push_vals, ctx_->StateOf(k));
   }
+  SendRouted(msg, in);
+}
 
-  // op_id == kImmediate marks a fire-and-forget push (replica fold drains
-  // forwarded by a server): nobody tracks it, so no ack is owed.
-  if (!reply_keys.empty() && msg.op_id != OpTracker::kImmediate) {
-    SendReply(msg, is_pull ? MsgType::kPullResp : MsgType::kPushAck,
-              std::move(reply_keys), std::move(reply_vals));
-  } else {
-    BufferPool::PutKeys(std::move(reply_keys));
-    BufferPool::PutVals(std::move(reply_vals));
+void Server::RouteEntry(const Message& msg, const EnvelopeView& in, Key k,
+                        int64_t word, const Val* push_vals, KeyState state) {
+  const bool is_push = IsPush(word);
+  const size_t len = ctx_->layout->Length(k);
+  const size_t push_len = is_push ? len : 0;
+  if (state == KeyState::kOwned) {
+    Val* slot = ctx_->store->GetOrCreate(k);
+    if (is_push) AddTo(slot, push_vals, len);
+    // Fire-and-forget sub-ops (forwarded replica folds) are owed no ack.
+    const uint64_t acked = EntryMask(word) & in.acked;
+    if (acked != 0) {
+      reply_.Add(k, EntryWord(acked, is_push), slot, is_push ? 0 : len);
+    }
+    return;
   }
-  for (const NodeId dst : groups_.touched()) {
-    Message f;
-    f.type = msg.type;
+  if (state != KeyState::kArriving) {
+    if (ctx_->config->strategy == LocationStrategy::kBroadcastOps) {
+      return;  // some other node owns this key and will answer
+    }
+    const NodeId dst = RouteDst(k);
+    if (dst != ctx_->node) {
+      if (fwd_[dst].empty()) fwd_dsts_.push_back(dst);
+      fwd_[dst].Add(k, word, push_vals, push_len);
+      return;
+    }
+    // Mid-relocation race: our owner view already points at this node but
+    // the transfer has not landed (state is not yet kArriving when the
+    // localize came from one of our own workers whose marking raced us, or
+    // the owner view was updated by HandleLocalize before the transfer).
+    // Forwarding would self-send and ping-pong; queue on the arrival
+    // queue instead -- the transfer that made the view point here will
+    // drain it.
+  }
+  // Queue a one-entry envelope until the relocation finishes (§3.2).
+  Message d = OneEntry(msg.orig_node, msg.orig_thread, in.ops, k, word,
+                       push_vals, push_len);
+  d.hops = msg.hops;
+  d.deliver_ns = msg.deliver_ns;  // deferral start for the stall phase
+  ctx_->QueueDeferred(k, std::move(d));
+}
+
+void Server::SendRouted(const Message& msg, const EnvelopeView& in) {
+  if (!reply_.empty()) {
+    Message r =
+        EnvelopeFor(MsgType::kBatchResp, msg.orig_node, msg.orig_thread);
+    r.dst_node = msg.orig_node;
+    reply_.Seal(in.ops, &r);
+    endpoint_->Send(std::move(r));
+  }
+  for (const NodeId dst : fwd_dsts_) {
+    Message f = EnvelopeFor(MsgType::kBatchOp, msg.orig_node, msg.orig_thread);
     f.dst_node = dst;
-    f.orig_node = msg.orig_node;
-    f.orig_thread = msg.orig_thread;
-    f.op_id = msg.op_id;
     f.hops = msg.hops + 1;
-    f.traced = msg.traced;
-    f.keys = groups_.TakeKeys(dst);
-    f.vals = groups_.TakeVals(dst);
+    fwd_[dst].Seal(in.ops, &f);
     endpoint_->Send(std::move(f));
   }
+  fwd_dsts_.clear();
 }
 
-void Server::HandleBatchOp(Message& msg) {
-  LAPSE_CHECK(!msg.aux.empty());
-  const size_t n_ops = static_cast<size_t>(msg.aux[0]);
-  LAPSE_CHECK_EQ(msg.aux.size(), 1 + n_ops + msg.keys.size());
-
-  batch_op_ids_.clear();
-  batch_op_traced_.clear();
-  for (size_t s = 0; s < n_ops; ++s) {
-    const int64_t word = msg.aux[1 + s];
-    batch_op_ids_.push_back(
-        static_cast<uint64_t>(word & ~Coalescer::kTracedOpBit));
-    batch_op_traced_.push_back((word & Coalescer::kTracedOpBit) != 0);
-  }
-
-  // The envelope's op_id is kImmediate, so Handle()'s generic hop recording
-  // skipped it; the hop belongs to every traced sub-op instead.
-  if (msg.traced && trace_ring_ != nullptr) {
-    const int64_t queue_ns = NowNanos() - msg.deliver_ns;
-    const int64_t net_ns = msg.deliver_ns - msg.send_ns;
-    for (size_t s = 0; s < n_ops; ++s) {
-      if (!batch_op_traced_[s]) continue;
-      const uint64_t uid =
-          obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]);
-      trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kQueue,
-                                                queue_ns, ctx_->node));
-      trace_ring_->TryPush(
-          obs::TraceEvent::Dur(uid, obs::Phase::kNet, net_ns, ctx_->node));
-    }
-  }
-
-  std::vector<Key> reply_keys = BufferPool::GetKeys();
-  std::vector<Val> reply_vals = BufferPool::GetVals();
-  batch_reply_words_.clear();
-
-  const Val* vals = msg.val_data();
-  size_t val_off = 0;
-  for (size_t i = 0; i < msg.keys.size(); ++i) {
-    const Key k = msg.keys[i];
-    const int64_t word = msg.aux[1 + n_ops + i];
-    const bool is_push = (word & 1) != 0;
-    const uint64_t mask = static_cast<uint64_t>(word) >> 1;
-    const size_t len = is_push ? ctx_->layout->Length(k) : 0;
-    const Val* push_vals = is_push ? vals + val_off : nullptr;
-    val_off += len;
-
-    LatchGuard latch(ctx_->latches->ForKey(k));
-    const KeyState state = ctx_->StateOf(k);
-    if (state == KeyState::kOwned) {
-      const size_t klen = ctx_->layout->Length(k);
-      Val* slot = ctx_->store->GetOrCreate(k);
-      if (is_push) {
-        AddTo(slot, push_vals, klen);
-      } else {
-        reply_vals.insert(reply_vals.end(), slot, slot + klen);
-      }
-      reply_keys.push_back(k);
-      batch_reply_words_.push_back(word);
-      continue;
-    }
-    // The key is mid-relocation or our ownership view is stale: the entry
-    // splits back into per-sub-op single-key ops that travel the ordinary
-    // defer/forward/chase paths of HandleOp and get acked individually.
-    // (Pushes reference exactly one sub-op -- the coalescer never merges
-    // them -- so a payload is never duplicated here.)
-    NodeId fwd_dst = -1;
-    if (state != KeyState::kArriving) {
-      const NodeId dst = RouteDst(k);
-      if (dst != ctx_->node) fwd_dst = dst;
-      // dst == self is HandleOp's mid-relocation race: queue, the transfer
-      // that made the view point here drains it.
-    }
-    for (uint64_t mrem = mask; mrem != 0; mrem &= mrem - 1) {
-      const size_t s = static_cast<size_t>(__builtin_ctzll(mrem));
-      Message d;
-      d.type = is_push ? MsgType::kPush : MsgType::kPull;
-      d.orig_node = msg.orig_node;
-      d.orig_thread = msg.orig_thread;
-      d.op_id = batch_op_ids_[s];
-      d.traced = batch_op_traced_[s];
-      d.deliver_ns = msg.deliver_ns;  // deferral start for the stall phase
-      d.keys.push_back(k);
-      if (is_push) d.vals.assign(push_vals, push_vals + len);
-      if (fwd_dst >= 0) {
-        d.dst_node = fwd_dst;
-        d.hops = msg.hops + 1;
-        endpoint_->Send(std::move(d));
-      } else {
-        d.hops = msg.hops;
-        ctx_->QueueDeferred(k, std::move(d));
-      }
-    }
-  }
-
-  if (!reply_keys.empty()) {
-    // One response per batch, echoing the op table plus the served subset
-    // of entries. Sub-ops whose keys all split off get completed by the
-    // single-key acks instead (CompleteKeys with count 0 is a no-op).
-    Message r;
-    r.type = MsgType::kBatchResp;
-    r.dst_node = msg.orig_node;
-    r.orig_node = msg.orig_node;
-    r.orig_thread = msg.orig_thread;
-    r.op_id = OpTracker::kImmediate;
-    r.traced = msg.traced;
-    r.keys = std::move(reply_keys);
-    r.vals = std::move(reply_vals);
-    r.aux.reserve(1 + n_ops + batch_reply_words_.size());
-    r.aux.push_back(static_cast<int64_t>(n_ops));
-    r.aux.insert(r.aux.end(), msg.aux.begin() + 1,
-                 msg.aux.begin() + 1 + static_cast<ptrdiff_t>(n_ops));
-    r.aux.insert(r.aux.end(), batch_reply_words_.begin(),
-                 batch_reply_words_.end());
-    endpoint_->Send(std::move(r));
-  } else {
-    BufferPool::PutKeys(std::move(reply_keys));
-    BufferPool::PutVals(std::move(reply_vals));
-  }
-}
-
-void Server::HandleBatchResp(const Message& msg) {
-  LAPSE_CHECK(!msg.aux.empty());
-  const size_t n_ops = static_cast<size_t>(msg.aux[0]);
-  LAPSE_CHECK_EQ(msg.aux.size(), 1 + n_ops + msg.keys.size());
+void Server::HandleResponse(const Message& msg) {
+  const EnvelopeView in(msg);
   OpTracker& tracker = ctx_->TrackerFor(msg.orig_thread);
-
-  batch_op_ids_.clear();
-  batch_op_traced_.clear();
-  batch_counts_.assign(n_ops, 0);
-  for (size_t s = 0; s < n_ops; ++s) {
-    const int64_t word = msg.aux[1 + s];
-    batch_op_ids_.push_back(
-        static_cast<uint64_t>(word & ~Coalescer::kTracedOpBit));
-    batch_op_traced_.push_back((word & Coalescer::kTracedOpBit) != 0);
-  }
-
-  if (msg.traced && trace_ring_ != nullptr) {
-    const int64_t queue_ns = NowNanos() - msg.deliver_ns;
-    const int64_t net_ns = msg.deliver_ns - msg.send_ns;
-    for (size_t s = 0; s < n_ops; ++s) {
-      if (!batch_op_traced_[s]) continue;
-      const uint64_t uid =
-          obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]);
-      trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kQueue,
-                                                queue_ns, ctx_->node));
-      trace_ring_->TryPush(
-          obs::TraceEvent::Dur(uid, obs::Phase::kNet, net_ns, ctx_->node));
-    }
-  }
+  op_counts_.assign(in.n_ops, 0);
 
   // Phase A: scatter values/acks per entry, counting completed keys per
   // sub-op. No sub-op is completed yet, so tracker slots stay valid (an op
   // retires only once all its keys -- including the ones counted here --
   // have been completed in phase B).
-  const Val* vals = msg.val_data();
   size_t val_off = 0;
   for (size_t i = 0; i < msg.keys.size(); ++i) {
     const Key k = msg.keys[i];
-    const int64_t word = msg.aux[1 + n_ops + i];
-    const bool is_push = (word & 1) != 0;
-    const uint64_t mask = static_cast<uint64_t>(word) >> 1;
+    const int64_t word = in.words[i];
+    const uint64_t mask = EntryMask(word);
+    if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
 
-    if (is_push) {
+    if (IsPush(word)) {
+      // Write-through mode: the acked push has reached the owner, so
+      // replica refreshes issued from now on reflect it.
       if (ctx_->replicas && !ctx_->replicas->aggregates_writes()) {
         ctx_->replicas->NoteWriteAcked(k);
       }
-      for (uint64_t mrem = mask; mrem != 0; mrem &= mrem - 1) {
-        ++batch_counts_[static_cast<size_t>(__builtin_ctzll(mrem))];
+      for (uint64_t r = mask; r != 0; r &= r - 1) {
+        ++op_counts_[static_cast<size_t>(__builtin_ctzll(r))];
       }
-      if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
       continue;
     }
 
     const size_t len = ctx_->layout->Length(k);
+    const Val* vals = msg.vals.data() + val_off;
+    val_off += len;
+    // Pull-through refresh: a returning owner value is exactly the fresh
+    // copy a pinned replica needs.
     const bool install = ctx_->replicas && ctx_->replicas->IsPinned(k);
     int64_t min_issue = 0;
     uint64_t refresh_uid = 0;
-    for (uint64_t mrem = mask; mrem != 0; mrem &= mrem - 1) {
-      const size_t s = static_cast<size_t>(__builtin_ctzll(mrem));
+    for (uint64_t r = mask; r != 0; r &= r - 1) {
+      const size_t s = static_cast<size_t>(__builtin_ctzll(r));
+      const uint64_t op = OpIdOf(in.ops[s]);
       // Same-key fan-out: every referencing sub-op gets its own copy of
       // the single response entry.
-      Val* dst = tracker.PullDst(batch_op_ids_[s], k);
+      Val* dst = tracker.PullDst(op, k);
       LAPSE_CHECK(dst != nullptr);
-      std::memcpy(dst, vals + val_off, len * sizeof(Val));
-      ++batch_counts_[s];
-      if (install) {
-        // Conservative write-epoch stamp: the earliest referencing
-        // sub-op's issue time (see HandlePullResp).
-        const int64_t issue = tracker.IssueNs(batch_op_ids_[s]);
-        if (min_issue == 0 || issue < min_issue) min_issue = issue;
-        if (refresh_uid == 0 && batch_op_traced_[s]) {
-          refresh_uid =
-              obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]);
-        }
+      std::memcpy(dst, vals, len * sizeof(Val));
+      ++op_counts_[s];
+      if (!install) continue;
+      // Write-epoch stamp: a snapshot requested before a local write
+      // settled must not overwrite the fold, so the earliest referencing
+      // sub-op's issue time is the conservative one.
+      const int64_t issue = tracker.IssueNs(op);
+      if (min_issue == 0 || issue < min_issue) min_issue = issue;
+      if (refresh_uid == 0 && IsTraced(in.ops[s])) {
+        refresh_uid = obs::PackUid(msg.orig_node, msg.orig_thread, op);
       }
     }
     if (install) {
-      ctx_->replicas->Install(k, vals + val_off, min_issue);
+      ctx_->replicas->Install(k, vals, min_issue);
       if (refresh_uid != 0 && trace_ring_ != nullptr) {
         trace_ring_->TryPush(obs::TraceEvent::Mark(
             refresh_uid, obs::Phase::kReplicaRefresh, ctx_->node));
       }
     }
-    if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
-    val_off += len;
   }
 
   // Phase B: complete each sub-op's served keys in one tracker transaction.
   const int64_t now = NowNanos();
-  for (size_t s = 0; s < n_ops; ++s) {
-    if (tracker.CompleteKeys(batch_op_ids_[s], batch_counts_[s]) &&
-        batch_op_traced_[s] && trace_ring_ != nullptr) {
+  for (size_t s = 0; s < in.n_ops; ++s) {
+    const uint64_t op = OpIdOf(in.ops[s]);
+    if (tracker.CompleteKeys(op, op_counts_[s]) && IsTraced(in.ops[s]) &&
+        trace_ring_ != nullptr) {
       trace_ring_->TryPush(obs::TraceEvent::Complete(
-          obs::PackUid(msg.orig_node, msg.orig_thread, batch_op_ids_[s]),
-          now, ctx_->node));
+          obs::PackUid(msg.orig_node, msg.orig_thread, op), now, ctx_->node));
     }
   }
 }
 
-void Server::ExtractKey(Key k, std::vector<Key>* keys,
-                        std::vector<Val>* vals) {
-  const size_t len = ctx_->layout->Length(k);
-  Val* slot = ctx_->store->GetOrCreate(k);
-  keys->push_back(k);
-  vals->insert(vals->end(), slot, slot + len);
+void Server::HandOver(Key k, NodeId requester, Message* t) {
+  if (ctx_->config->strategy == LocationStrategy::kBroadcastRelocations) {
+    const uint32_t epoch = ctx_->owners->Epoch(k) + 1;
+    ctx_->owners->SetOwnerAt(k, requester, epoch);
+    t->aux.push_back(epoch);
+  }
+  const Val* slot = ctx_->store->GetOrCreate(k);
+  t->keys.push_back(k);
+  t->vals.insert(t->vals.end(), slot, slot + ctx_->layout->Length(k));
   ctx_->store->Erase(k);
   ctx_->SetState(k, KeyState::kNotOwned);
 }
@@ -476,14 +363,12 @@ void Server::HandleLocalize(Message& msg) {
 
   if (ctx_->config->strategy == LocationStrategy::kBroadcastRelocations) {
     // Direct localize at the believed owner.
-    std::vector<Key> tkeys = BufferPool::GetKeys();
-    std::vector<Val> tvals = BufferPool::GetVals();
+    Message t = TransferFor(msg);
     for (const Key k : msg.keys) {
       LatchGuard latch(ctx_->latches->ForKey(k));
       const KeyState state = ctx_->StateOf(k);
       if (state == KeyState::kOwned) {
-        ctx_->owners->SetOwner(k, requester);
-        ExtractKey(k, &tkeys, &tvals);
+        HandOver(k, requester, &t);
       } else if (state == KeyState::kArriving) {
         ctx_->QueueDeferred(k, SingleKeyCopy(msg, k));
       } else {
@@ -494,21 +379,10 @@ void Server::HandleLocalize(Message& msg) {
         endpoint_->Send(std::move(f));
       }
     }
-    if (!tkeys.empty()) {
-      Message t;
-      t.type = MsgType::kRelocateTransfer;
-      t.dst_node = requester;
-      t.requester_node = requester;
-      t.orig_node = msg.orig_node;
-      t.orig_thread = msg.orig_thread;
-      t.op_id = msg.op_id;
-      t.traced = msg.traced;
-      t.keys = std::move(tkeys);
-      t.vals = std::move(tvals);
+    if (!t.keys.empty()) {
       endpoint_->Send(std::move(t));
     } else {
-      BufferPool::PutKeys(std::move(tkeys));
-      BufferPool::PutVals(std::move(tvals));
+      t.Recycle();
     }
     return;
   }
@@ -590,13 +464,12 @@ void Server::HandleLocalize(Message& msg) {
 }
 
 void Server::HandleInstruct(Message& msg) {
-  std::vector<Key> tkeys = BufferPool::GetKeys();
-  std::vector<Val> tvals = BufferPool::GetVals();
+  Message t = TransferFor(msg);
   for (const Key k : msg.keys) {
     LatchGuard latch(ctx_->latches->ForKey(k));
     const KeyState state = ctx_->StateOf(k);
     if (state == KeyState::kOwned) {
-      ExtractKey(k, &tkeys, &tvals);
+      HandOver(k, msg.requester_node, &t);
     } else if (state == KeyState::kArriving) {
       // The key is still on its way to us (chained relocation): defer the
       // hand-over until it lands.
@@ -606,21 +479,10 @@ void Server::HandleInstruct(Message& msg) {
                        << ctx_->node << " which does not hold it";
     }
   }
-  if (!tkeys.empty()) {
-    Message t;
-    t.type = MsgType::kRelocateTransfer;
-    t.dst_node = msg.requester_node;
-    t.requester_node = msg.requester_node;
-    t.orig_node = msg.orig_node;
-    t.orig_thread = msg.orig_thread;
-    t.op_id = msg.op_id;
-    t.traced = msg.traced;
-    t.keys = std::move(tkeys);
-    t.vals = std::move(tvals);
+  if (!t.keys.empty()) {
     endpoint_->Send(std::move(t));
   } else {
-    BufferPool::PutKeys(std::move(tkeys));
-    BufferPool::PutVals(std::move(tvals));
+    t.Recycle();
   }
 }
 
@@ -634,9 +496,12 @@ void Server::HandleTransfer(Message& msg) {
   const int64_t now = NowNanos();
   const int64_t issue = eviction ? 0 : tracker.IssueNs(msg.op_id);
   const int64_t rt = issue > 0 ? now - issue : 0;
+  const bool mirrored =
+      ctx_->config->strategy == LocationStrategy::kBroadcastRelocations;
 
   size_t val_off = 0;
-  for (const Key k : msg.keys) {
+  for (size_t i = 0; i < msg.keys.size(); ++i) {
+    const Key k = msg.keys[i];
     const size_t len = ctx_->layout->Length(k);
     // The latch is held across the whole drain on purpose: deferred ops
     // must apply before any new fast-path access to the key (per-worker
@@ -652,7 +517,26 @@ void Server::HandleTransfer(Message& msg) {
     } else {
       stats_->relocations.Add(rt);
     }
+    if (mirrored) {
+      ctx_->owners->SetOwnerAt(k, ctx_->node,
+                               static_cast<uint32_t>(msg.aux[i]));
+    }
     DrainArrived(k);
+  }
+  if (mirrored) {
+    // Direct-mail the new location to all uninvolved nodes (Table 3): all
+    // but this one and the old owner, which named us at the hand-over.
+    for (NodeId n = 0; n < network_->num_nodes(); ++n) {
+      if (n == ctx_->node || n == msg.src_node) continue;
+      Message u;
+      u.type = MsgType::kLocationUpdate;
+      u.dst_node = n;
+      u.orig_node = ctx_->node;
+      u.keys = msg.keys;
+      u.aux.push_back(ctx_->node);
+      u.aux.insert(u.aux.end(), msg.aux.begin(), msg.aux.end());
+      endpoint_->Send(std::move(u));
+    }
   }
   // All keys of one transfer belong to the same localize op: complete them
   // in one tracker transaction.
@@ -702,10 +586,10 @@ void Server::DrainArrived(Key k) {
     if (std::holds_alternative<DeferredLocalOp>(item)) {
       DeferredLocalOp& op = std::get<DeferredLocalOp>(item);
       Val* slot = ctx_->store->GetOrCreate(k);
-      if (op.type == MsgType::kPull) {
-        std::memcpy(op.pull_dst, slot, len * sizeof(Val));
-      } else {
+      if (op.is_push) {
         AddTo(slot, op.push_update.data(), len);
+      } else {
+        std::memcpy(op.pull_dst, slot, len * sizeof(Val));
       }
       const bool done =
           ctx_->TrackerFor(op.worker_thread).CompleteKeys(op.op_id, 1);
@@ -723,50 +607,25 @@ void Server::DrainArrived(Key k) {
       continue;
     }
     Message& m = std::get<Message>(item);
-    if (m.type == MsgType::kPull || m.type == MsgType::kPush) {
-      if (m.traced && trace_ring_ != nullptr &&
-          m.op_id != OpTracker::kImmediate) {
-        // How long the forwarded op sat behind the relocation (measured
+    if (m.type == MsgType::kBatchOp) {
+      if (m.traced && trace_ring_ != nullptr) {
+        // How long the queued entry sat behind the relocation (measured
         // from its delivery here; completion is recorded at its origin).
-        trace_ring_->TryPush(obs::TraceEvent::Dur(
-            obs::PackUid(m.orig_node, m.orig_thread, m.op_id),
-            obs::Phase::kRelocStall, NowNanos() - m.deliver_ns, ctx_->node));
+        RecordOpsPhase(m, obs::Phase::kRelocStall,
+                       NowNanos() - m.deliver_ns);
       }
-      std::vector<Key> reply_keys = BufferPool::GetKeys();
-      std::vector<Val> reply_vals = BufferPool::GetVals();
-      ServeOwnedKey(m, 0, k, m.val_data(), &reply_keys, &reply_vals);
-      if (m.op_id != OpTracker::kImmediate) {
-        SendReply(m, m.type == MsgType::kPull ? MsgType::kPullResp
-                                              : MsgType::kPushAck,
-                  std::move(reply_keys), std::move(reply_vals));
-      } else {
-        // Fire-and-forget fold drain: applied, no ack owed.
-        BufferPool::PutKeys(std::move(reply_keys));
-        BufferPool::PutVals(std::move(reply_vals));
-      }
+      const EnvelopeView in(m);
+      RouteEntry(m, in, k, in.words[0], m.vals.data(), KeyState::kOwned);
+      SendRouted(m, in);
       continue;
     }
     // A deferred hand-over (instruct, or direct localize under
     // broadcast-relocations): the key leaves again immediately.
     LAPSE_CHECK(m.type == MsgType::kRelocateInstruct ||
                 m.type == MsgType::kLocalize);
-    if (ctx_->config->strategy == LocationStrategy::kBroadcastRelocations) {
-      ctx_->owners->SetOwner(k, m.requester_node);
-    }
-    std::vector<Key> tkeys = BufferPool::GetKeys();
-    std::vector<Val> tvals = BufferPool::GetVals();
-    ExtractKey(k, &tkeys, &tvals);
+    Message t = TransferFor(m);
+    HandOver(k, m.requester_node, &t);
     stats_->localization_conflicts.Add(1);
-    Message t;
-    t.type = MsgType::kRelocateTransfer;
-    t.dst_node = m.requester_node;
-    t.requester_node = m.requester_node;
-    t.orig_node = m.orig_node;
-    t.orig_thread = m.orig_thread;
-    t.op_id = m.op_id;
-    t.traced = m.traced;
-    t.keys = std::move(tkeys);
-    t.vals = std::move(tvals);
     endpoint_->Send(std::move(t));
     // Everything queued after the hand-over chases the key over the
     // network, preserving per-worker order.
@@ -781,80 +640,24 @@ void Server::ForwardDeferred(Key k, Deferred item) {
   const NodeId dst = RouteDst(k);
   if (dst == ctx_->node) {
     // The owner view points back at this node: another transfer to us is in
-    // flight (see HandleOp's mid-relocation case). Keep the item queued
+    // flight (see RouteEntry's mid-relocation case). Keep the item queued
     // locally; that transfer's DrainArrived will pick it up.
     ctx_->QueueDeferred(k, std::move(item));
     return;
   }
   Message m;
   if (std::holds_alternative<DeferredLocalOp>(item)) {
-    DeferredLocalOp& op = std::get<DeferredLocalOp>(item);
-    m.type = op.type;
-    m.orig_node = ctx_->node;
-    m.orig_thread = op.worker_thread;
-    m.op_id = op.op_id;
-    m.traced = op.traced;
-    m.keys.push_back(k);
-    if (op.type == MsgType::kPush) m.vals = std::move(op.push_update);
+    const DeferredLocalOp& op = std::get<DeferredLocalOp>(item);
+    const int64_t op_word = OpWord(op.op_id, op.traced);
+    m = OneEntry(ctx_->node, op.worker_thread, &op_word, k,
+                 EntryWord(1, op.is_push), op.push_update.data(),
+                 op.push_update.size());
   } else {
     m = std::move(std::get<Message>(item));
     m.hops += 1;
   }
   m.dst_node = dst;
   endpoint_->Send(std::move(m));
-}
-
-void Server::HandlePullResp(const Message& msg) {
-  OpTracker& tracker = ctx_->TrackerFor(msg.orig_thread);
-  // When this pull was issued, for the write-epoch check below: a snapshot
-  // requested before a local write settled must not overwrite the fold.
-  // Read before CompleteKeys -- the op cannot retire (and recycle its slot)
-  // until its own CompleteKeys call at the bottom.
-  const int64_t issue_ns = tracker.IssueNs(msg.op_id);
-  size_t val_off = 0;
-  for (const Key k : msg.keys) {
-    const size_t len = ctx_->layout->Length(k);
-    Val* dst = tracker.PullDst(msg.op_id, k);
-    LAPSE_CHECK(dst != nullptr);
-    std::memcpy(dst, msg.vals.data() + val_off, len * sizeof(Val));
-    // Pull-through refresh: a returning owner value is exactly the fresh
-    // copy a pinned replica needs -- install it so subsequent reads within
-    // the staleness bound stay local.
-    if (ctx_->replicas && ctx_->replicas->IsPinned(k)) {
-      ctx_->replicas->Install(k, msg.vals.data() + val_off, issue_ns);
-      if (msg.traced && trace_ring_ != nullptr) {
-        trace_ring_->TryPush(obs::TraceEvent::Mark(
-            obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id),
-            obs::Phase::kReplicaRefresh, ctx_->node));
-      }
-    }
-    val_off += len;
-    if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
-  }
-  if (tracker.CompleteKeys(msg.op_id, msg.keys.size()) && msg.traced &&
-      trace_ring_ != nullptr) {
-    trace_ring_->TryPush(obs::TraceEvent::Complete(
-        obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id), NowNanos(),
-        ctx_->node));
-  }
-}
-
-void Server::HandlePushAck(const Message& msg) {
-  if (ctx_->cache) {
-    for (const Key k : msg.keys) ctx_->cache->Update(k, msg.src_node);
-  }
-  // Write-through mode: the acked push has reached the owner, so replica
-  // refreshes issued from now on reflect it. Close the write epoch.
-  if (ctx_->replicas && !ctx_->replicas->aggregates_writes()) {
-    for (const Key k : msg.keys) ctx_->replicas->NoteWriteAcked(k);
-  }
-  if (ctx_->TrackerFor(msg.orig_thread)
-          .CompleteKeys(msg.op_id, msg.keys.size()) &&
-      msg.traced && trace_ring_ != nullptr) {
-    trace_ring_->TryPush(obs::TraceEvent::Complete(
-        obs::PackUid(msg.orig_node, msg.orig_thread, msg.op_id), NowNanos(),
-        ctx_->node));
-  }
 }
 
 void Server::HandleLocalizeNoop(const Message& msg) {
@@ -868,9 +671,12 @@ void Server::HandleLocalizeNoop(const Message& msg) {
 }
 
 void Server::HandleLocationUpdate(const Message& msg) {
-  LAPSE_CHECK(!msg.aux.empty());
+  LAPSE_CHECK_EQ(msg.aux.size(), 1 + msg.keys.size());
   const NodeId new_owner = static_cast<NodeId>(msg.aux[0]);
-  for (const Key k : msg.keys) ctx_->owners->SetOwner(k, new_owner);
+  for (size_t i = 0; i < msg.keys.size(); ++i) {
+    ctx_->owners->SetOwnerAt(msg.keys[i], new_owner,
+                             static_cast<uint32_t>(msg.aux[1 + i]));
+  }
 }
 
 void Server::HandleReplicaRegister(const Message& msg) {
@@ -923,17 +729,14 @@ void Server::ForwardReplicaFolds(Key k) {
   const size_t len = ctx_->layout->Length(k);
   if (fold_buf_.size() < len) fold_buf_.resize(len);
   if (!ctx_->replicas->DrainKey(k, fold_buf_.data())) return;
-  Message m;
-  m.type = MsgType::kPush;
+  // A push by sub-op kImmediate: fire-and-forget, no ack owed.
+  const int64_t op_word = OpWord(OpTracker::kImmediate, /*traced=*/false);
+  Message m = OneEntry(ctx_->node, 0, &op_word, k, EntryWord(1, true),
+                       fold_buf_.data(), len);
   // RouteDst may name this node itself (the invalidation raced our own
-  // localize); the self-send delivers through the inbox and HandleOp
+  // localize); the self-send delivers through the inbox and HandleRequest
   // applies or defers it like any other push.
   m.dst_node = RouteDst(k);
-  m.orig_node = ctx_->node;
-  m.orig_thread = 0;
-  m.op_id = OpTracker::kImmediate;  // fire-and-forget: no ack owed
-  m.keys.push_back(k);
-  m.vals.assign(fold_buf_.begin(), fold_buf_.begin() + len);
   endpoint_->Send(std::move(m));
 }
 
@@ -958,20 +761,6 @@ void Server::InvalidateReplicaHolders(Key k) {
     m.keys.push_back(k);
     endpoint_->Send(std::move(m));
   }
-}
-
-void Server::SendReply(const Message& request, MsgType type,
-                       std::vector<Key> keys, std::vector<Val> vals) {
-  Message r;
-  r.type = type;
-  r.dst_node = request.orig_node;
-  r.orig_node = request.orig_node;
-  r.orig_thread = request.orig_thread;
-  r.op_id = request.op_id;
-  r.traced = request.traced;
-  r.keys = std::move(keys);
-  r.vals = std::move(vals);
-  endpoint_->Send(std::move(r));
 }
 
 }  // namespace ps

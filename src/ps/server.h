@@ -7,6 +7,7 @@
 
 #include "net/network.h"
 #include "obs/timeline.h"
+#include "ps/coalescer.h"
 #include "ps/dest_groups.h"
 #include "ps/node_context.h"
 
@@ -41,20 +42,22 @@ class Server {
   // replies; whatever remains is recycled by the caller.
   void Handle(net::Message& msg);
 
-  // kPull / kPush for keys possibly owned here; splits into
-  // process-here / queue-arriving / forward-elsewhere per key.
-  void HandleOp(net::Message& msg);
-
-  // kBatchOp: a worker coalescer's multi-op batch (ps::Coalescer wire
-  // format). Owned keys are served in entry order and acked through one
-  // kBatchResp; entries caught mid-relocation split into the single-key
-  // defer/forward paths of HandleOp, carrying their sub-op's own op id, so
-  // the existing chase machinery completes them individually.
-  void HandleBatchOp(net::Message& msg);
+  // kBatchOp: serves the entries of keys owned here in entry order, queues
+  // those of arriving keys, and forwards the rest, one envelope per
+  // destination (RouteEntry + SendRouted).
+  void HandleRequest(net::Message& msg);
+  // Serves, queues or forwards entry (k, word) of envelope `msg` whose key
+  // is in `state`; the caller holds k's latch. `push_vals` is the entry's
+  // update (pushes only).
+  void RouteEntry(const net::Message& msg, const EnvelopeView& in, Key k,
+                  int64_t word, const Val* push_vals, KeyState state);
+  // Sends what RouteEntry collected for `msg`: one kBatchResp to the origin
+  // and one kBatchOp per forward destination.
+  void SendRouted(const net::Message& msg, const EnvelopeView& in);
   // kBatchResp at the origin node: scatter served pull values into each
   // referencing sub-op's buffer (same-key pulls fan out from one entry),
   // refresh replicas/caches, and complete each sub-op in the tracker.
-  void HandleBatchResp(const net::Message& msg);
+  void HandleResponse(const net::Message& msg);
 
   // Home-node side of localize (message 1 -> message 2). Under the
   // broadcast-relocations strategy this arrives directly at the believed
@@ -65,13 +68,10 @@ class Server {
   void HandleInstruct(net::Message& msg);
 
   // Requester side: install arrived keys, complete the localize op, drain
-  // queued operations in order.
+  // queued operations in order. Under broadcast-relocations, also mails
+  // the new location (with the transfer's epochs) to the other nodes.
   void HandleTransfer(net::Message& msg);
 
-  // Response handling: scatter pulled values / acks into worker trackers,
-  // refresh the location cache.
-  void HandlePullResp(const net::Message& msg);
-  void HandlePushAck(const net::Message& msg);
   void HandleLocalizeNoop(const net::Message& msg);
   void HandleLocationUpdate(const net::Message& msg);
 
@@ -93,15 +93,10 @@ class Server {
   // the invalidate/flush race can never lose aggregated updates.
   void ForwardReplicaFolds(Key k);
 
-  // Applies a single-key pull/push for an owned key (caller holds the
-  // latch) and accumulates the reply.
-  void ServeOwnedKey(const net::Message& msg, size_t key_index, Key k,
-                     const Val* push_vals, std::vector<Key>* reply_keys,
-                     std::vector<Val>* reply_vals);
-
-  // Removes `k` (caller holds the latch; state must be kOwned) and appends
-  // its value to a transfer payload.
-  void ExtractKey(Key k, std::vector<Key>* keys, std::vector<Val>* vals);
+  // Hands owned key k (caller holds the latch) over to `requester`: removes
+  // it here and appends it to transfer `t`. Under broadcast-relocations it
+  // also opens the key's next epoch, in this node's mirror and in `t`.
+  void HandOver(Key k, NodeId requester, net::Message* t);
 
   // Where this server forwards an operation on a non-owned key.
   NodeId RouteDst(Key k) const;
@@ -113,12 +108,13 @@ class Server {
   // Re-sends a deferred item over the network after the key moved away.
   void ForwardDeferred(Key k, Deferred item);
 
-  void SendReply(const net::Message& request, net::MsgType type,
-                 std::vector<Key> keys, std::vector<Val> vals);
-
   // Records the queue-wait and wire-time phase events of one hop of a
-  // traced message (out of line; traced messages are rare by sampling).
+  // traced message for each traced op it carries (out of line; traced
+  // messages are rare by sampling).
   void RecordHop(const net::Message& msg);
+  // Records a `phase` duration for each traced op of `msg`.
+  void RecordOpsPhase(const net::Message& msg, obs::Phase phase,
+                      int64_t dur_ns);
 
   NodeContext* ctx_;
   net::Network* network_;
@@ -130,20 +126,21 @@ class Server {
   std::unique_ptr<net::Endpoint> endpoint_;
 
   // Reusable per-message scratch (the server is single-threaded): flat
-  // destination-indexed grouping replacing std::map, and the batch buffer
-  // for Inbox::TakeBatch.
+  // destination-indexed grouping of relocation messages, and the batch
+  // buffer for Inbox::TakeBatch.
   DestGroups groups_;
   std::vector<net::Message> batch_;
   // Scratch for draining one key's replica write accumulator. Not
   // groups_: ForwardReplicaFolds runs inside handlers that are mid-use of
   // the grouping scratch (HandleLocalize).
   std::vector<Val> fold_buf_;
-  // Reusable scratch of the batch handlers (sub-op table decode, per-
-  // sub-op completion counts, reply entry words); cleared per message.
-  std::vector<uint64_t> batch_op_ids_;
-  std::vector<uint8_t> batch_op_traced_;
-  std::vector<size_t> batch_counts_;
-  std::vector<int64_t> batch_reply_words_;
+  // Envelope scratch of RouteEntry/SendRouted: the reply to the origin, and
+  // one forward per destination node (touched in fwd_dsts_).
+  Envelope reply_;
+  std::vector<Envelope> fwd_;
+  std::vector<NodeId> fwd_dsts_;
+  // Per-sub-op completion counts of HandleResponse.
+  std::vector<size_t> op_counts_;
 
   // Which nodes hold a replica of each key homed here. Server-thread-only
   // (registrations and ownership moves both arrive on this thread), so no

@@ -50,7 +50,9 @@ PsSystem::PsSystem(Config config)
                                     : KeyState::kNotOwned),
           std::memory_order_relaxed);
     }
-    ctx->owners = std::make_unique<LocationTable>(&layout_);
+    ctx->owners = std::make_unique<LocationTable>(
+        &layout_,
+        config_.strategy == LocationStrategy::kBroadcastRelocations);
     if (config_.location_caches) {
       ctx->cache = std::make_unique<LocationCache>(layout_.num_keys());
     }

@@ -21,7 +21,9 @@ Worker::Worker(NodeContext* ctx, net::Network* network,
       global_id_(global_id),
       endpoint_(network->CreateEndpoint(ctx->node, thread_slot)),
       tracker_(ctx->trackers[thread_slot].get()),
-      rng_(seed) {
+      rng_(seed),
+      trace_ring_(ctx->obs != nullptr ? ctx->obs->Ring(thread_slot) : nullptr),
+      coalescer_(ctx, endpoint_.get(), thread_slot, trace_ring_) {
   const Architecture arch = ctx_->config->arch;
   fast_local_ = (arch != Architecture::kClassic);
   dpa_enabled_ =
@@ -38,8 +40,7 @@ Worker::Worker(NodeContext* ctx, net::Network* network,
     sample_countdown_ =
         1 + static_cast<uint32_t>(global_id) % sample_period_;
   }
-  if (ctx_->obs != nullptr) {
-    trace_ring_ = ctx_->obs->Ring(thread_slot);
+  if (trace_ring_ != nullptr) {
     trace_period_ = ctx_->config->obs.sample_every;
     trace_countdown_ =
         1 + static_cast<uint32_t>(global_id) % trace_period_;
@@ -48,13 +49,6 @@ Worker::Worker(NodeContext* ctx, net::Network* network,
   // One group slot per (destination node, server shard).
   scratch_.groups.Resize(static_cast<size_t>(ctx_->layout->num_nodes()) *
                          static_cast<size_t>(num_shards_));
-  // Broadcast-ops has no point-to-point destination to batch for; every
-  // other strategy routes remote ops through the coalescer when enabled.
-  if (ctx_->config->coalescing &&
-      ctx_->config->strategy != LocationStrategy::kBroadcastOps) {
-    coalescer_ = std::make_unique<Coalescer>(ctx_, endpoint_.get(), thread_,
-                                             trace_ring_);
-  }
 }
 
 Worker::~Worker() {
@@ -94,11 +88,6 @@ void Worker::CheckDistinct(const std::vector<Key>& keys) const {
 }
 #endif
 
-void Worker::RecordIssue(obs::OpKind kind, uint64_t op, int64_t t_issue) {
-  trace_ring_->TryPush(obs::TraceEvent::Issue(
-      obs::PackUid(ctx_->node, thread_, op), kind, t_issue, ctx_->node));
-}
-
 void Worker::RecordTrace(obs::OpKind kind, uint64_t op, int64_t t_issue,
                          int64_t replica_misses) {
   const bool inline_done = op == kImmediate;
@@ -106,10 +95,7 @@ void Worker::RecordTrace(obs::OpKind kind, uint64_t op, int64_t t_issue,
       inline_done ? (obs::kInlineOpBit | ++trace_inline_seq_) : op;
   const uint64_t uid = obs::PackUid(ctx_->node, thread_, raw);
   const int64_t now = NowNanos();
-  if (inline_done) {
-    trace_ring_->TryPush(
-        obs::TraceEvent::Issue(uid, kind, t_issue, ctx_->node));
-  }
+  trace_ring_->TryPush(obs::TraceEvent::Issue(uid, kind, t_issue, ctx_->node));
   trace_ring_->TryPush(obs::TraceEvent::Dur(uid, obs::Phase::kLocal,
                                             now - t_issue, ctx_->node));
   for (int64_t i = 0; i < replica_misses; ++i) {
@@ -160,7 +146,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
   CheckDistinct(keys);
   // Age/count check on every op -- including ones that turn out all-local,
   // so a worker gone local-only cannot strand a held batch past its delay.
-  if (coalescer_) coalescer_->MaybeDrain();
+  coalescer_.MaybeDrain();
   if (SampleThisOp()) RecordAccessSample(keys, /*is_write=*/false);
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
@@ -225,18 +211,11 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
   }
   const uint64_t op = tracker_->Create(dst, sc.key_offsets, NowNanos());
-  // Issue goes out before any of the op's keys is handed to another thread
-  // (a send, or the arrival queue below).
-  if (traced) RecordIssue(obs::OpKind::kPull, op, t_issue);
-  if (coalescer_) coalescer_->BeginOp(op, traced);
+  coalescer_.BeginOp(op, traced);
 
   size_t inline_done = 0;
   int64_t local_reads = static_cast<int64_t>(done) - replica_reads;
   int64_t remote_reads = 0, queued = 0;
-  sc.groups.Begin();
-  sc.broadcast_keys.clear();
-  const bool broadcast_ops =
-      ctx_->config->strategy == LocationStrategy::kBroadcastOps;
 
   for (size_t i = 0; i < sc.key_offsets.size(); ++i) {
     const Key k = sc.key_offsets[i].first;
@@ -252,8 +231,6 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
         handled = true;
       } else if (state == KeyState::kArriving && dpa_enabled_) {
         DeferredLocalOp d;
-        d.type = MsgType::kPull;
-        d.key = k;
         d.pull_dst = dst + off;
         d.worker_thread = thread_;
         d.op_id = op;
@@ -279,13 +256,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
     if (handled) continue;
     ++remote_reads;
-    if (broadcast_ops) {
-      sc.broadcast_keys.push_back(k);
-    } else if (coalescer_) {
-      coalescer_->AddPull(GroupSlot(RemoteDst(k), k), k);
-    } else {
-      sc.groups.AddKey(GroupSlot(RemoteDst(k), k), k);
-    }
+    AddRemote(k, nullptr, 0);
   }
 
   pending_.local_reads += local_reads;
@@ -294,31 +265,15 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
   pending_.queued += queued;
   PublishStats();
   if (traced) RecordTrace(obs::OpKind::kPull, op, t_issue, trace_misses);
-
-  for (const NodeId slot : sc.groups.touched()) {
-    Message m;
-    m.type = MsgType::kPull;
-    m.dst_node = GroupNode(slot);
-    m.orig_node = ctx_->node;
-    m.orig_thread = thread_;
-    m.op_id = op;
-    m.traced = traced;
-    m.keys = sc.groups.TakeKeys(slot);
-    endpoint_->Send(std::move(m));
-  }
-  if (!sc.broadcast_keys.empty()) {
-    BroadcastOp(MsgType::kPull, op, traced);
-  }
-  if (coalescer_) coalescer_->EndOp();
-
-  if (tracker_->CompleteKeys(op, inline_done) && traced) RecordComplete(op);
+  coalescer_.EndOp();
+  if (tracker_->Release(op, inline_done) && traced) RecordComplete(op);
   return op;
 }
 
 uint64_t Worker::PushAsync(const std::vector<Key>& keys,
                            const Val* updates) {
   CheckDistinct(keys);
-  if (coalescer_) coalescer_->MaybeDrain();
+  coalescer_.MaybeDrain();
   if (SampleThisOp()) RecordAccessSample(keys, /*is_write=*/true);
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
@@ -386,19 +341,13 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     }
   }
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
-  if (traced) RecordIssue(obs::OpKind::kPush, op, t_issue);
-  if (coalescer_) coalescer_->BeginOp(op, traced);
+  coalescer_.BeginOp(op, traced);
 
   size_t inline_done = 0;
   // The fast-path prefix mixes owned writes and replica folds; only the
   // former count as local.
   int64_t local_writes = static_cast<int64_t>(done) - replica_folds;
   int64_t remote_writes = 0, queued = 0;
-  sc.groups.Begin();
-  sc.broadcast_keys.clear();
-  sc.broadcast_vals.clear();
-  const bool broadcast_ops =
-      ctx_->config->strategy == LocationStrategy::kBroadcastOps;
 
   for (size_t i = 0; i < sc.key_offsets.size(); ++i) {
     const Key k = sc.key_offsets[i].first;
@@ -415,8 +364,7 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
         handled = true;
       } else if (state == KeyState::kArriving && dpa_enabled_) {
         DeferredLocalOp d;
-        d.type = MsgType::kPush;
-        d.key = k;
+        d.is_push = true;
         d.push_update.assign(updates + off, updates + off + len);
         d.worker_thread = thread_;
         d.op_id = op;
@@ -448,17 +396,7 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     }
     if (handled) continue;
     ++remote_writes;
-    if (broadcast_ops) {
-      sc.broadcast_keys.push_back(k);
-      sc.broadcast_vals.insert(sc.broadcast_vals.end(), updates + off,
-                               updates + off + len);
-    } else if (coalescer_) {
-      coalescer_->AddPush(GroupSlot(RemoteDst(k), k), k, updates + off, len);
-    } else {
-      const NodeId slot = GroupSlot(RemoteDst(k), k);
-      sc.groups.AddKey(slot, k);
-      sc.groups.AddVals(slot, updates + off, len);
-    }
+    AddRemote(k, updates + off, len);
   }
 
   pending_.local_writes += local_writes;
@@ -469,26 +407,9 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
   if (traced) {
     RecordTrace(obs::OpKind::kPush, op, t_issue, /*replica_misses=*/0);
   }
-
-  for (const NodeId slot : sc.groups.touched()) {
-    Message m;
-    m.type = MsgType::kPush;
-    m.dst_node = GroupNode(slot);
-    m.orig_node = ctx_->node;
-    m.orig_thread = thread_;
-    m.op_id = op;
-    m.traced = traced;
-    m.keys = sc.groups.TakeKeys(slot);
-    m.vals = sc.groups.TakeVals(slot);
-    endpoint_->Send(std::move(m));
-  }
-  if (!sc.broadcast_keys.empty()) {
-    BroadcastOp(MsgType::kPush, op, traced);
-  }
-  if (coalescer_) coalescer_->EndOp();
-
-  if (tracker_->CompleteKeys(op, inline_done) && traced) RecordComplete(op);
-  // After the op's own sends: FlushReplicas reuses the grouping scratch.
+  coalescer_.EndOp();
+  if (tracker_->Release(op, inline_done) && traced) RecordComplete(op);
+  // After the op's scope closed: the flush is an op of its own.
   if (flush_due) FlushReplicas();
   return op;
 }
@@ -498,7 +419,7 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
   // A relocation must not overtake this worker's held pushes to the same
   // key (the moved key's value would miss them until the forward chase
   // lands); localize is rare, so a full drain is the simple fix.
-  if (coalescer_) coalescer_->DrainAll();
+  coalescer_.DrainAll();
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
 
@@ -527,7 +448,6 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
   sc.key_offsets.clear();
   for (const Key k : sc.localize_keys) sc.key_offsets.emplace_back(k, 0);
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
-  if (traced) RecordIssue(obs::OpKind::kLocalize, op, t_issue);
 
   size_t inline_done = 0;
   sc.groups.Begin();
@@ -565,28 +485,12 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
     RecordTrace(obs::OpKind::kLocalize, op, t_issue, /*replica_misses=*/0);
   }
 
+  // Under broadcast-relocations the new location is mailed to the other
+  // nodes once the key arrived (Server::HandleTransfer).
   for (const NodeId slot : sc.groups.touched()) {
-    const NodeId dst_node = GroupNode(slot);
-    const std::vector<Key>& group_keys = sc.groups.KeysOf(slot);
-    if (broadcast_reloc) {
-      // Direct-mail the new location to all uninvolved nodes (Table 3).
-      // The group is shard-pure, so each update message is too.
-      for (const Key k : group_keys) ctx_->owners->SetOwner(k, ctx_->node);
-      for (NodeId n = 0; n < ctx_->layout->num_nodes(); ++n) {
-        if (n == ctx_->node || n == dst_node) continue;
-        Message u;
-        u.type = MsgType::kLocationUpdate;
-        u.dst_node = n;
-        u.orig_node = ctx_->node;
-        u.orig_thread = thread_;
-        u.keys = group_keys;
-        u.aux.push_back(ctx_->node);
-        endpoint_->Send(std::move(u));
-      }
-    }
     Message m;
     m.type = MsgType::kLocalize;
-    m.dst_node = dst_node;
+    m.dst_node = GroupNode(slot);
     m.orig_node = ctx_->node;
     m.orig_thread = thread_;
     m.op_id = op;
@@ -596,7 +500,7 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
     endpoint_->Send(std::move(m));
   }
 
-  if (tracker_->CompleteKeys(op, inline_done) && traced) RecordComplete(op);
+  if (tracker_->Release(op, inline_done) && traced) RecordComplete(op);
   return op;
 }
 
@@ -679,33 +583,50 @@ size_t Worker::Replicate(const std::vector<Key>& keys) {
   return pinned;
 }
 
-uint64_t Worker::SendGroupedPushes() {
+void Worker::AddRemote(Key k, const Val* update, size_t len) {
+  auto add = [&](NodeId dst) {
+    if (update == nullptr) {
+      coalescer_.AddPull(GroupSlot(dst, k), k);
+    } else {
+      coalescer_.AddPush(GroupSlot(dst, k), k, update, len);
+    }
+  };
+  if (ctx_->config->strategy != LocationStrategy::kBroadcastOps) {
+    add(RemoteDst(k));
+    return;
+  }
+  // Broadcast-ops keeps no location state: every peer gets the entry, and
+  // only the owner serves it.
+  for (NodeId n = 0; n < ctx_->layout->num_nodes(); ++n) {
+    if (n != ctx_->node) add(n);
+  }
+}
+
+uint64_t Worker::PushFolds() {
   Scratch& sc = scratch_;
-  if (sc.key_offsets.empty()) return kImmediate;
+  if (sc.flush_keys.empty()) return kImmediate;
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
-  // Drained folds travel as ordinary cumulative pushes, one coalesced
-  // message per destination, tracked like any push: the op completes when
-  // every owner acked, which is what makes WaitAll a flush barrier. A key
-  // localized here since its last fold routes through its home and comes
-  // straight back -- the relocation protocol already handles that.
+  // Drained folds travel as ordinary cumulative pushes, tracked like any
+  // push: the op completes when every owner acked, which is what makes
+  // WaitAll a flush barrier. A key localized here since its last fold
+  // routes through its home and comes straight back -- the relocation
+  // protocol already handles that.
+  sc.key_offsets.clear();
+  for (const Key k : sc.flush_keys) sc.key_offsets.emplace_back(k, 0);
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
   if (traced) {
-    RecordIssue(obs::OpKind::kFlush, op, t_issue);
     RecordTrace(obs::OpKind::kFlush, op, t_issue, /*replica_misses=*/0);
   }
-  for (const NodeId slot : sc.groups.touched()) {
-    Message m;
-    m.type = MsgType::kPush;
-    m.dst_node = GroupNode(slot);
-    m.orig_node = ctx_->node;
-    m.orig_thread = thread_;
-    m.op_id = op;
-    m.traced = traced;
-    m.keys = sc.groups.TakeKeys(slot);
-    m.vals = sc.groups.TakeVals(slot);
-    endpoint_->Send(std::move(m));
+  coalescer_.BeginOp(op, traced);
+  size_t off = 0;
+  for (const Key k : sc.flush_keys) {
+    const size_t len = ctx_->layout->Length(k);
+    AddRemote(k, sc.flush_vals.data() + off, len);
+    off += len;
   }
+  coalescer_.EndOp(/*send_now=*/true);
+  if (tracker_->Release(op, 0) && traced) RecordComplete(op);
   return op;
 }
 
@@ -729,17 +650,15 @@ uint64_t Worker::FlushReplicas() {
   if (replicas_ == nullptr || !replicas_->aggregates_writes()) {
     return kImmediate;
   }
-  const KeyLayout& layout = *ctx_->layout;
   Scratch& sc = scratch_;
-  sc.groups.Begin();
-  sc.key_offsets.clear();
+  sc.flush_keys.clear();
+  sc.flush_vals.clear();
   replicas_->DrainDirty([&](Key k, const Val* acc) {
-    const NodeId slot = GroupSlot(RemoteDst(k), k);
-    sc.groups.AddKey(slot, k);
-    sc.groups.AddVals(slot, acc, layout.Length(k));
-    sc.key_offsets.emplace_back(k, size_t{0});
+    sc.flush_keys.push_back(k);
+    sc.flush_vals.insert(sc.flush_vals.end(), acc,
+                         acc + ctx_->layout->Length(k));
   });
-  return SendGroupedPushes();
+  return PushFolds();
 }
 
 size_t Worker::Unreplicate(const std::vector<Key>& keys) {
@@ -749,99 +668,34 @@ size_t Worker::Unreplicate(const std::vector<Key>& keys) {
   DedupKeysIntoScratch(keys);
 
   // Pass 1: atomically drain-and-unpin each key (one latch hold inside
-  // Unpin, so no fold can slip in between) and group the drained folds by
-  // destination. The unpinned set is remembered for the unregister pass.
-  sc.broadcast_keys.clear();
-  sc.groups.Begin();
-  sc.key_offsets.clear();
+  // Unpin, so no fold can slip in between) and flush the drained folds.
+  // localize_keys shrinks to the unpinned set for the unregister pass.
+  sc.flush_keys.clear();
+  sc.flush_vals.clear();
+  size_t unpinned = 0;
   for (const Key k : sc.localize_keys) {
-    const size_t len = layout.Length(k);
-    if (sc.broadcast_vals.size() < len) sc.broadcast_vals.resize(len);
     if (!replicas_->IsPinned(k)) continue;
-    if (replicas_->Unpin(k, sc.broadcast_vals.data())) {
-      const NodeId slot = GroupSlot(RemoteDst(k), k);
-      sc.groups.AddKey(slot, k);
-      sc.groups.AddVals(slot, sc.broadcast_vals.data(), len);
-      sc.key_offsets.emplace_back(k, size_t{0});
+    const size_t off = sc.flush_vals.size();
+    sc.flush_vals.resize(off + layout.Length(k));
+    if (replicas_->Unpin(k, sc.flush_vals.data() + off)) {
+      sc.flush_keys.push_back(k);
+    } else {
+      sc.flush_vals.resize(off);
     }
-    sc.broadcast_keys.push_back(k);
+    sc.localize_keys[unpinned++] = k;
   }
-  SendGroupedPushes();
+  sc.localize_keys.resize(unpinned);
+  PushFolds();
 
   // Pass 2: unregister at each key's home so the replica directory
   // shrinks and later ownership moves stop firing invalidations at this
   // node. Fire-and-forget, like the registration.
   sc.groups.Begin();
-  for (const Key k : sc.broadcast_keys) {
+  for (const Key k : sc.localize_keys) {
     sc.groups.AddKey(GroupSlot(layout.Home(k), k), k);
   }
   SendReplicaControl(MsgType::kReplicaUnregister);
-  return sc.broadcast_keys.size();
-}
-
-void Worker::BroadcastOp(MsgType type, uint64_t op, bool traced) {
-  Scratch& sc = scratch_;
-  const NodeId num_nodes = ctx_->layout->num_nodes();
-  const bool is_push = (type == MsgType::kPush);
-  if (num_shards_ == 1) {
-    // One shared payload for all peers instead of n-1 full copies; moving
-    // the scratch buffer makes the broadcast path itself zero-copy.
-    std::shared_ptr<const std::vector<Val>> shared;
-    if (is_push) {
-      shared = std::make_shared<const std::vector<Val>>(
-          std::move(sc.broadcast_vals));
-    }
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      if (n == ctx_->node) continue;
-      Message m;
-      m.type = type;
-      m.dst_node = n;
-      m.orig_node = ctx_->node;
-      m.orig_thread = thread_;
-      m.op_id = op;
-      m.traced = traced;
-      m.keys = sc.broadcast_keys;
-      if (is_push) m.shared_vals = shared;
-      endpoint_->Send(std::move(m));
-    }
-    return;
-  }
-  // Sharded servers: split the broadcast per shard so each message stays
-  // shard-pure; each shard's payload is still shared across all peers.
-  const KeyLayout& layout = *ctx_->layout;
-  for (NodeId s = 0; s < num_shards_; ++s) {
-    std::vector<Key> shard_keys;
-    auto shard_vals = std::make_shared<std::vector<Val>>();
-    size_t off = 0;
-    for (const Key k : sc.broadcast_keys) {
-      const size_t len = is_push ? layout.Length(k) : 0;
-      if (layout.Shard(k) == s) {
-        shard_keys.push_back(k);
-        if (is_push) {
-          shard_vals->insert(shard_vals->end(),
-                             sc.broadcast_vals.begin() + off,
-                             sc.broadcast_vals.begin() + off + len);
-        }
-      }
-      off += len;
-    }
-    if (shard_keys.empty()) continue;
-    const std::shared_ptr<const std::vector<Val>> shared =
-        std::move(shard_vals);
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      if (n == ctx_->node) continue;
-      Message m;
-      m.type = type;
-      m.dst_node = n;
-      m.orig_node = ctx_->node;
-      m.orig_thread = thread_;
-      m.op_id = op;
-      m.traced = traced;
-      m.keys = shard_keys;
-      if (is_push) m.shared_vals = shared;
-      endpoint_->Send(std::move(m));
-    }
-  }
+  return unpinned;
 }
 
 bool Worker::PullIfLocal(Key k, Val* dst) {

@@ -94,9 +94,9 @@ class Worker {
   size_t Unreplicate(const std::vector<Key>& keys);
 
   // Drains every dirty write accumulator of this node's replica store and
-  // sends the folds to the owners, coalesced into one cumulative-push
-  // message per destination node. Called automatically whenever a push
-  // trips a flush trigger (Config::replica_flush_micros /
+  // sends the folds to the owners as one push op, one envelope per
+  // destination (node, shard), never held. Called automatically whenever a
+  // push trips a flush trigger (Config::replica_flush_micros /
   // replica_flush_max_folds) and on worker teardown; callable manually
   // for tighter phase boundaries. Tracked: returns an operation handle
   // whose completion means every drained fold was applied by its owner
@@ -111,16 +111,16 @@ class Worker {
   // also publishes this worker's access counters (see PublishStats).
   void Wait(uint64_t op) {
     if (op == kImmediate) return;
-    if (coalescer_) coalescer_->DrainIfQueued(op);
+    coalescer_.DrainIfQueued(op);
     tracker_->Wait(op);
   }
   void WaitAll() {
     PublishStats();
-    if (coalescer_) coalescer_->DrainAll();
+    coalescer_.DrainAll();
     tracker_->WaitAll();
   }
   bool IsDone(uint64_t op) {
-    if (coalescer_) coalescer_->DrainIfQueued(op);
+    coalescer_.DrainIfQueued(op);
     return tracker_->IsDone(op);
   }
 
@@ -180,17 +180,15 @@ class Worker {
   }
   NodeId GroupNode(NodeId slot) const { return slot / num_shards_; }
 
-  // Broadcast-ops fan-out of scratch_.broadcast_keys (and, for pushes,
-  // scratch_.broadcast_vals -- consumed) to every peer node, split per
-  // server shard so each message stays shard-pure. Each shard's push
-  // payload is shared across peers (zero-copy fan-out).
-  void BroadcastOp(net::MsgType type, uint64_t op, bool traced);
+  // Queues remote key k of the current op in the coalescer: on the slot of
+  // its believed owner, or under broadcast-ops on every peer's. `update`
+  // (len values) makes it a push, null a pull.
+  void AddRemote(Key k, const Val* update, size_t len);
 
-  // Sends the grouped scratch (scratch_.groups + scratch_.key_offsets,
-  // filled by the caller) as tracked cumulative pushes, one message per
-  // destination. Returns the op handle (kImmediate when empty). Used by
-  // the replica flush paths.
-  uint64_t SendGroupedPushes();
+  // Sends scratch_.flush_keys / flush_vals (drained replica folds, keys
+  // distinct) to their owners as one tracked push op, never held. Returns
+  // its handle (kImmediate when there is nothing to flush).
+  uint64_t PushFolds();
 
   // Sends the grouped scratch keys to each touched node as a
   // fire-and-forget replica-directory control message
@@ -233,21 +231,16 @@ class Worker {
     return true;
   }
 
-  // Emits the worker-side events of one traced operation: kLocal (issue
-  // until now) and replica-miss marks. `op` == kImmediate (the op finished
-  // inline) gets a synthetic per-thread uid, since the tracker never saw
-  // it, and its kIssue and kComplete here. A tracked op calls it before its
-  // first send, so the server-side events of its messages -- kComplete
-  // above all -- cannot reach the collector ahead of it. Out of line: runs
-  // once per obs.sample_every operations.
+  // Emits the worker-side events of one traced operation: kIssue, kLocal
+  // (issue until now) and replica-miss marks. `op` == kImmediate (the op
+  // finished inline) gets a synthetic per-thread uid, since the tracker
+  // never saw it, and its kComplete here. A tracked op calls it before its
+  // issuer releases it (OpTracker::Release), so the op's kComplete --
+  // wherever it is recorded -- cannot reach the collector ahead of it. Out
+  // of line: runs once per obs.sample_every operations.
   void RecordTrace(obs::OpKind kind, uint64_t op, int64_t t_issue,
                    int64_t replica_misses);
-  // kIssue of a tracked op, recorded right after the tracker created it:
-  // its keys can reach a server thread through the arrival queue even
-  // before the first send.
-  void RecordIssue(obs::OpKind kind, uint64_t op, int64_t t_issue);
-  // kComplete of a tracked op that this worker's own CompleteKeys
-  // finished.
+  // kComplete of a tracked op that this worker's own Release finished.
   void RecordComplete(uint64_t op);
 
   // Worker-written node counters (ServerStats local/remote/replica key
@@ -280,10 +273,10 @@ class Worker {
   // by one thread, so plain members suffice.
   struct Scratch {
     std::vector<std::pair<Key, size_t>> key_offsets;
-    DestGroups groups;  // destination-grouped send buffers
-    std::vector<Key> broadcast_keys;
-    std::vector<Val> broadcast_vals;
+    DestGroups groups;  // destination-grouped control messages
     std::vector<Key> localize_keys;  // deduped localize/evict request
+    std::vector<Key> flush_keys;     // drained replica folds (PushFolds)
+    std::vector<Val> flush_vals;
   };
 
   NodeContext* ctx_;
@@ -313,9 +306,8 @@ class Worker {
   uint64_t trace_inline_seq_ = 0;  // uid source for inline-completed ops
   PendingStats pending_;
   uint32_t publish_countdown_ = kPublishEveryOps;
-  // Bounded-delay request coalescer (null unless Config::coalescing, which
-  // keeps the disabled cost at one branch per op).
-  std::unique_ptr<Coalescer> coalescer_;
+  // Builder of every pull/push envelope this worker sends.
+  Coalescer coalescer_;
 
   // Slot of key k for fast-path access; devirtualized for dense stores.
   Val* Slot(Key k) {

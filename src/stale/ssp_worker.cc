@@ -56,6 +56,7 @@ void SspWorker::Read(const std::vector<Key>& keys, Val* dst) {
     m.keys = std::move(group_keys);
     endpoint_->Send(std::move(m));
   }
+  tracker_->Release(op, 0);
   tracker_->Wait(op);
 }
 
@@ -123,6 +124,7 @@ void SspWorker::Clock() {
       m.vals = std::move(group.second);
       endpoint_->Send(std::move(m));
     }
+    tracker_->Release(op, 0);
     tracker_->Wait(op);
   }
 

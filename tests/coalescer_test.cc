@@ -194,7 +194,7 @@ TEST(CoalescerTest, ShardPureBatchesAcrossFourShards) {
   EXPECT_GT(system.node_stats(0).coalesce_batches.count(), 0);
 }
 
-TEST(CoalescerTest, DisabledByDefaultSendsNoBatches) {
+TEST(CoalescerTest, DisabledNeverHolds) {
   Config cfg = CoalescingConfig();
   cfg.coalescing = false;
   PsSystem system(cfg);
@@ -202,10 +202,14 @@ TEST(CoalescerTest, DisabledByDefaultSendsNoBatches) {
     if (w.node() != 0) return;
     std::vector<Val> buf(2);
     for (int i = 0; i < 8; ++i) w.PullAsync({11}, buf.data());
+    // Each op's envelope left as soon as the op finished issuing.
+    EXPECT_EQ(system.net_stats().MessagesOfType(net::MsgType::kBatchOp), 8);
     w.WaitAll();
   });
-  EXPECT_EQ(system.net_stats().MessagesOfType(net::MsgType::kBatchOp), 0);
-  EXPECT_EQ(system.node_stats(0).coalesced_ops.count(), 0);
+  // Every batch carries one sub-op, and nothing was held for a drain.
+  EXPECT_EQ(system.node_stats(0).coalesce_batches.count(), 8);
+  EXPECT_EQ(system.node_stats(0).coalesce_batches.sum(), 8);
+  EXPECT_EQ(system.node_stats(0).coalesce_forced_drains.count(), 0);
 }
 
 }  // namespace

@@ -60,8 +60,8 @@ TEST(LocationCacheTest, StaleHintCostsExactlyOneExtraForward) {
     }
   });
   auto& s = system.net_stats();
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPull), 3);  // uncached: 2
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPullResp), 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchOp), 3);  // uncached: 2
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchResp), 1);
   EXPECT_EQ(s.total_messages(), 4);  // one extra over the 3-message path
 }
 

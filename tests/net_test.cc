@@ -52,9 +52,9 @@ TEST(LatencyModelTest, JitterStaysInBounds) {
 
 TEST(InboxTest, DeliversInDeliveryTimeOrder) {
   Inbox inbox;
-  Message a = MakeMsg(MsgType::kPull, 0, 1);
+  Message a = MakeMsg(MsgType::kBatchOp, 0, 1);
   a.deliver_ns = NowNanos() - 100;
-  Message b = MakeMsg(MsgType::kPull, 0, 2);
+  Message b = MakeMsg(MsgType::kBatchOp, 0, 2);
   b.deliver_ns = a.deliver_ns - 50;  // earlier
   inbox.Put(std::move(a));
   inbox.Put(std::move(b));
@@ -67,7 +67,7 @@ TEST(InboxTest, DeliversInDeliveryTimeOrder) {
 
 TEST(InboxTest, ShutdownDrainsThenReturnsFalse) {
   Inbox inbox;
-  Message a = MakeMsg(MsgType::kPull, 0, 1);
+  Message a = MakeMsg(MsgType::kBatchOp, 0, 1);
   a.deliver_ns = NowNanos() + 1'000'000'000;  // far future
   inbox.Put(std::move(a));
   inbox.Shutdown();
@@ -78,7 +78,7 @@ TEST(InboxTest, ShutdownDrainsThenReturnsFalse) {
 
 TEST(InboxTest, TryTakeRespectsDeliveryTime) {
   Inbox inbox;
-  Message a = MakeMsg(MsgType::kPull, 0, 1);
+  Message a = MakeMsg(MsgType::kBatchOp, 0, 1);
   a.deliver_ns = NowNanos() + 500'000'000;
   inbox.Put(std::move(a));
   Message out;
@@ -88,7 +88,7 @@ TEST(InboxTest, TryTakeRespectsDeliveryTime) {
 TEST(NetworkTest, EndpointStampsSourceFields) {
   Network net(2, LatencyConfig::Zero());
   auto ep = net.CreateEndpoint(0, 3);
-  ep->Send(MakeMsg(MsgType::kPush, 1, 7));
+  ep->Send(MakeMsg(MsgType::kBatchResp, 1, 7));
   Message out;
   ASSERT_TRUE(net.Recv(1, &out));
   EXPECT_EQ(out.src_node, 0);
@@ -106,7 +106,7 @@ TEST(NetworkTest, PerConnectionFifoUnderJitter) {
   auto ep = net.CreateEndpoint(0, 1);
   const int kMsgs = 200;
   for (int i = 0; i < kMsgs; ++i) {
-    ep->Send(MakeMsg(MsgType::kPull, 1, static_cast<uint64_t>(i + 1)));
+    ep->Send(MakeMsg(MsgType::kBatchOp, 1, static_cast<uint64_t>(i + 1)));
   }
   Message out;
   for (int i = 0; i < kMsgs; ++i) {
@@ -122,7 +122,7 @@ TEST(NetworkTest, LatencyIsEnforced) {
   Network net(2, cfg);
   auto ep = net.CreateEndpoint(0, 1);
   Timer timer;
-  ep->Send(MakeMsg(MsgType::kPull, 1, 1));
+  ep->Send(MakeMsg(MsgType::kBatchOp, 1, 1));
   Message out;
   ASSERT_TRUE(net.Recv(1, &out));
   EXPECT_GE(timer.ElapsedMillis(), 15.0);
@@ -136,7 +136,7 @@ TEST(NetworkTest, LocalLoopbackFasterThanRemote) {
   Network net(2, cfg);
   auto ep = net.CreateEndpoint(0, 1);
   Timer timer;
-  ep->Send(MakeMsg(MsgType::kPull, 0, 1));  // loop-back
+  ep->Send(MakeMsg(MsgType::kBatchOp, 0, 1));  // loop-back
   Message out;
   ASSERT_TRUE(net.Recv(0, &out));
   EXPECT_LT(timer.ElapsedMillis(), 40.0);
@@ -145,13 +145,13 @@ TEST(NetworkTest, LocalLoopbackFasterThanRemote) {
 TEST(NetworkTest, StatsCountMessagesAndBytes) {
   Network net(2, LatencyConfig::Zero());
   auto ep = net.CreateEndpoint(0, 1);
-  Message m = MakeMsg(MsgType::kPush, 1);
+  Message m = MakeMsg(MsgType::kBatchResp, 1);
   m.keys = {1, 2, 3};
   m.vals = {1.0f, 2.0f};
   const size_t bytes = m.WireBytes();
   ep->Send(std::move(m));
-  EXPECT_EQ(net.stats().MessagesOfType(MsgType::kPush), 1);
-  EXPECT_EQ(net.stats().BytesOfType(MsgType::kPush),
+  EXPECT_EQ(net.stats().MessagesOfType(MsgType::kBatchResp), 1);
+  EXPECT_EQ(net.stats().BytesOfType(MsgType::kBatchResp),
             static_cast<int64_t>(bytes));
   EXPECT_EQ(net.stats().total_messages(), 1);
   EXPECT_EQ(net.stats().remote_messages(), 1);
@@ -161,7 +161,7 @@ TEST(NetworkTest, StatsCountMessagesAndBytes) {
 TEST(NetworkTest, StatsDistinguishLocalMessages) {
   Network net(2, LatencyConfig::Zero());
   auto ep = net.CreateEndpoint(0, 1);
-  ep->Send(MakeMsg(MsgType::kPull, 0));
+  ep->Send(MakeMsg(MsgType::kBatchOp, 0));
   EXPECT_EQ(net.stats().local_messages(), 1);
   EXPECT_EQ(net.stats().remote_messages(), 0);
 }
@@ -174,7 +174,7 @@ TEST(NetworkTest, ManyProducersOneConsumer) {
     producers.emplace_back([&net, t] {
       auto ep = net.CreateEndpoint(0, t + 1);
       for (int i = 0; i < kPerThread; ++i) {
-        ep->Send(MakeMsg(MsgType::kPush, 1));
+        ep->Send(MakeMsg(MsgType::kBatchResp, 1));
       }
     });
   }
@@ -203,8 +203,8 @@ TEST(NetworkTest, ShutdownUnblocksReceivers) {
 }
 
 TEST(MessageTest, WireBytesGrowsWithPayload) {
-  Message a = MakeMsg(MsgType::kPull, 0);
-  Message b = MakeMsg(MsgType::kPull, 0);
+  Message a = MakeMsg(MsgType::kBatchOp, 0);
+  Message b = MakeMsg(MsgType::kBatchOp, 0);
   b.keys.resize(10);
   b.vals.resize(100);
   EXPECT_GT(b.WireBytes(), a.WireBytes());

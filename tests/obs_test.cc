@@ -282,7 +282,7 @@ TEST(ObservabilityEndToEndTest, SampledOpsFinalizeWithPhases) {
   bool found_local_reads = false, found_backlog = false;
   for (const auto& cv : snap.counters) {
     if (cv.name == "node0.local_key_reads") found_local_reads = true;
-    if (cv.name == "node1.shard0.backlog_ns.Pull") found_backlog = true;
+    if (cv.name == "node1.shard0.backlog_ns.BatchOp") found_backlog = true;
   }
   EXPECT_TRUE(found_local_reads);
   EXPECT_TRUE(found_backlog);

@@ -18,6 +18,7 @@ TEST(OpTrackerTest, ImmediateIsAlwaysDone) {
 TEST(OpTrackerTest, CompletesAfterAllKeys) {
   OpTracker t;
   const uint64_t op = t.Create(nullptr, {{1, 0}, {2, 0}, {3, 0}}, 123);
+  t.Release(op, 0);  // the issuer served no key itself
   EXPECT_FALSE(t.IsDone(op));
   t.CompleteKeys(op, 2);
   EXPECT_FALSE(t.IsDone(op));
@@ -51,6 +52,7 @@ TEST(OpTrackerTest, PullDstNullForPushOps) {
 TEST(OpTrackerTest, WaitBlocksUntilComplete) {
   OpTracker t;
   const uint64_t op = t.Create(nullptr, {{1, 0}}, 0);
+  t.Release(op, 0);
   std::thread completer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     t.CompleteKeys(op, 1);
@@ -63,7 +65,10 @@ TEST(OpTrackerTest, WaitBlocksUntilComplete) {
 TEST(OpTrackerTest, WaitAllDrainsEverything) {
   OpTracker t;
   std::vector<uint64_t> ops;
-  for (int i = 0; i < 10; ++i) ops.push_back(t.Create(nullptr, {{1, 0}}, 0));
+  for (int i = 0; i < 10; ++i) {
+    ops.push_back(t.Create(nullptr, {{1, 0}}, 0));
+    t.Release(ops.back(), 0);
+  }
   std::thread completer([&] {
     for (const uint64_t op : ops) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -87,12 +92,31 @@ TEST(OpTrackerTest, ConcurrentCompletions) {
   OpTracker t;
   const uint64_t op = t.Create(nullptr,
                                {{1, 0}, {2, 0}, {3, 0}, {4, 0}}, 0);
+  t.Release(op, 0);
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&] { t.CompleteKeys(op, 1); });
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(t.IsDone(op));
+}
+
+// An issued op stays open until its issuer releases it, however fast other
+// threads complete its keys: the issuer's trace events (recorded before
+// the release) can then never land after the op's completion event.
+TEST(OpTrackerTest, OpStaysOpenUntilIssuerReleases) {
+  OpTracker t;
+  const uint64_t op = t.Create(nullptr, {{1, 0}, {2, 0}, {3, 0}}, 0);
+  int finished = 0;  // CompleteKeys/Release calls that returned true
+  std::thread server([&] {
+    for (int i = 0; i < 3; ++i) finished += t.CompleteKeys(op, 1) ? 1 : 0;
+  });
+  server.join();
+  EXPECT_FALSE(t.IsDone(op));  // every key is complete, the op is not
+  finished += t.Release(op, 0) ? 1 : 0;
+  EXPECT_TRUE(t.IsDone(op));
+  EXPECT_EQ(finished, 1);
+  t.Wait(op);
 }
 
 }  // namespace

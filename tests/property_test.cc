@@ -31,6 +31,7 @@ struct SweepParam {
   bool latency;  // zero vs small LAN latency
   int server_threads = 1;  // server drain threads (key-range shards)
   bool coalescing = false;  // bounded-delay request coalescing
+  LocationStrategy strategy = LocationStrategy::kHomeNode;
 };
 
 std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
@@ -45,6 +46,9 @@ std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
     s += "S" + std::to_string(p.server_threads);
   }
   if (p.coalescing) s += "Coal";
+  if (p.strategy != LocationStrategy::kHomeNode) {
+    s += LocationStrategyName(p.strategy);
+  }
   return s;
 }
 
@@ -70,6 +74,7 @@ class PsPropertyTest : public ::testing::TestWithParam<SweepParam> {
     cfg.latency.idle_spin_ns = 20'000;  // keep test CPU usage sane
     cfg.server_threads = p.server_threads;
     cfg.coalescing = p.coalescing;
+    cfg.strategy = p.strategy;
     return cfg;
   }
 };
@@ -198,7 +203,27 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
                    false, 4, true},
         SweepParam{2, 2, Architecture::kClassic, StorageKind::kDense, false,
-                   false, 1, true}),
+                   false, 1, true},
+        // The other location strategies on the one envelope path: every
+        // broadcast-ops entry fans out to all peers and only the owner
+        // answers; broadcast-relocations routes by mirrored owner views.
+        // Each at {1,4} shards x coalescing off/on.
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
+                   false, 1, false, LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
+                   false, 1, true, LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
+                   false, 4, false, LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
+                   false, 4, true, LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
+                   false, 1, false, LocationStrategy::kBroadcastRelocations},
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
+                   false, 1, true, LocationStrategy::kBroadcastRelocations},
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
+                   false, 4, false, LocationStrategy::kBroadcastRelocations},
+        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
+                   false, 4, true, LocationStrategy::kBroadcastRelocations}),
     SweepName);
 
 // Relocation-specific properties under a hostile interleaving: every node
@@ -337,7 +362,7 @@ TEST(BandwidthPropertyTest, IngressSerializesBulkTransfers) {
   // ingress, the second delivery must wait for the first (~1 ms each).
   auto mk = [] {
     net::Message m;
-    m.type = net::MsgType::kPush;
+    m.type = net::MsgType::kBatchOp;
     m.dst_node = 0;
     m.vals.resize(25'000);  // ~100 KB
     return m;

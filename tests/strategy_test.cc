@@ -37,8 +37,8 @@ TEST(BroadcastOpsTest, RemoteAccessUsesNMessages) {
     w.Pull({0}, buf.data());  // key 0 homed at node 0: remote for node 2
   });
   auto& s = system.net_stats();
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPull), kNodes - 1);
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPullResp), 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchOp), kNodes - 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchResp), 1);
 }
 
 TEST(BroadcastOpsTest, PushAndPullCorrect) {
@@ -76,8 +76,8 @@ TEST(BroadcastRelocationsTest, RemoteAccessUsesTwoMessages) {
     w.Pull({0}, buf.data());
   });
   auto& s = system.net_stats();
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPull), 1);
-  EXPECT_EQ(s.MessagesOfType(net::MsgType::kPullResp), 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchOp), 1);
+  EXPECT_EQ(s.MessagesOfType(net::MsgType::kBatchResp), 1);
 }
 
 TEST(BroadcastRelocationsTest, RelocationUsesNMessages) {
@@ -121,6 +121,18 @@ TEST(BroadcastRelocationsTest, AccessAfterRelocationGoesDirect) {
       EXPECT_EQ(system.net_stats().total_messages(), 2);
     }
   });
+}
+
+TEST(BroadcastRelocationsTest, MirrorKeepsTheLatestHandOver) {
+  // The location mails of two hand-overs of one key come from different
+  // senders and can arrive in either order; a mirror must end on the later
+  // hand-over, or it names a node that no longer holds the key.
+  PsSystem system(
+      StrategyConfig(LocationStrategy::kBroadcastRelocations, 4, 1));
+  LocationTable& mirror = *system.node_context(3).owners;
+  mirror.SetOwnerAt(0, 2, /*epoch=*/2);
+  mirror.SetOwnerAt(0, 1, /*epoch=*/1);  // the earlier hand-over's mail
+  EXPECT_EQ(mirror.Owner(0), 2);
 }
 
 TEST(BroadcastRelocationsTest, ValueSurvivesRelocationChain) {
