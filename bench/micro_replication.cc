@@ -16,6 +16,7 @@
 //                     (speedup_vs_baseline >= 2 is the acceptance bar)
 //   replica_reads  -- reads served from replicas (replication run only)
 //   remote_ops     -- steady-state remote key ops, on vs off
+//   hardware_threads -- std::thread::hardware_concurrency()
 //
 // Tuning note (recorded next to the config fields in ps/config.h): the
 // staleness bound trades freshness against residual traffic -- each node
@@ -25,14 +26,18 @@
 //
 // A second suite measures WRITE AGGREGATION on a write-heavy mix
 // (--write-frac, default 0.5): the same pinned hot set, manual pinning
-// (isolating aggregation from detection), aggregation on vs off. The
+// (isolating aggregation from detection), the default flush cap vs a cap
+// of 1 -- every fold flushed at once, one owner message per write, the
+// message count of sending each push straight to the owner. The
 // "owner-bound messages" rows count push envelopes (kBatchOp) on the wire
 // during the measure phase -- Petuum-style accumulators must cut them by
-// >= 2x. Pulls share the envelope type, so the count is exact by
-// construction: every remote read here is one single-key sync pull and
-// nothing relocates (no forwards), so push messages = delta kBatchOp -
-// delta remote reads. The write-through run checks that this equals its
-// remote writes (one sync push each).
+// >= 2x. Pulls share the envelope type: every remote read here is one
+// single-key sync pull and nothing relocates (no forwards), so push
+// messages = delta kBatchOp - delta remote reads, plus the few pulls the
+// origin re-requests because a flush of the key was in flight (the read-
+// your-writes epoch). The cap-1 run checks the shape: each fold left in a
+// flush of its own, and its messages cover its remote writes plus one
+// flush per fold; the remainder is the re-requested pulls.
 //
 // A third suite measures ADAPTIVE FLUSH SIZING on a skewed-write mix:
 // writes are Zipf-concentrated on the pinned hot set, so per-key write
@@ -47,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -201,21 +207,32 @@ struct WriteHeavyResult {
   double steady_ops_per_sec = 0;
   int64_t owner_push_msgs = 0;  // push messages during the measure phase
   int64_t remote_writes = 0;    // remote key writes in the measure phase
-  int64_t folds = 0;            // pushes aggregated locally
+  int64_t measured_folds = 0;   // pushes folded in the measure phase
+  int64_t folds = 0;            // pushes folded locally, whole run
+  int64_t flushed_keys = 0;     // accumulators drained, whole run
 };
 
-WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
+int64_t TotalFolds(ps::PsSystem& system) {
+  int64_t folds = 0;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    folds += system.replica_manager(n)->stats().folds;
+  }
+  return folds;
+}
+
+WriteHeavyResult RunWriteHeavy(double write_frac, uint32_t max_folds) {
   ps::Config cfg = BenchConfig(/*replication=*/true);
   // Isolate aggregation from detection: no adaptive engine, the hot set
   // is pinned manually by every node before the measured rounds.
   cfg.adaptive.enabled = false;
-  cfg.replica_write_aggregation = aggregation;
+  cfg.replica_flush_max_folds = max_folds;
   ps::PsSystem system(cfg);
   const ZipfSampler zipf(kKeys, kZipfExponent);
   const int total_rounds = kWriteWarmupRounds + kWriteMeasureRounds;
   WriteHeavyResult result;
   std::vector<double> round_secs(total_rounds, 0.0);
   WireCounts at_start;
+  int64_t folds_at_start = 0;
 
   system.Run([&](ps::Worker& w) {
     const NodeId node = w.node();
@@ -235,7 +252,10 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
         // Snapshot between two barriers: no worker is pushing while the
         // baseline counts are read, and every worker published its access
         // counters on entering the barrier.
-        if (node == 0) at_start = ReadWireCounts(system);
+        if (node == 0) {
+          at_start = ReadWireCounts(system);
+          folds_at_start = TotalFolds(system);
+        }
         w.Barrier();
       }
       if (node == 0) round_timer.Restart();
@@ -264,8 +284,10 @@ WriteHeavyResult RunWriteHeavy(double write_frac, bool aggregation) {
   result.owner_push_msgs = (end.batch_ops - at_start.batch_ops) -
                            (end.remote_reads - at_start.remote_reads);
   result.remote_writes = end.remote_writes - at_start.remote_writes;
+  result.folds = TotalFolds(system);
+  result.measured_folds = result.folds - folds_at_start;
   for (NodeId n = 0; n < kNodes; ++n) {
-    result.folds += system.replica_manager(n)->stats().folds;
+    result.flushed_keys += system.replica_manager(n)->stats().flushed_keys;
   }
   return result;
 }
@@ -389,7 +411,7 @@ int main(int argc, char** argv) {
       "aggregated writes PR 4",
       "read-mostly suite: shared Zipf hot set, adaptive engine on in both "
       "runs, only Config::replication differs. write-heavy suite: manual "
-      "pinning, only Config::replica_write_aggregation differs");
+      "pinning, only Config::replica_flush_max_folds differs (1 vs 32)");
 
   std::printf("replication off (adaptive only)...\n");
   const RunResult off = RunWorkload(/*replication=*/false);
@@ -402,25 +424,34 @@ int main(int argc, char** argv) {
   std::printf("steady-state speedup: %.2fx\n",
               on.steady_ops_per_sec / off.steady_ops_per_sec);
 
-  std::printf("write-heavy mix (write-frac %.2f), aggregation off...\n",
+  std::printf("write-heavy mix (write-frac %.2f), flush cap 1...\n",
               write_frac);
-  const WriteHeavyResult agg_off =
-      RunWriteHeavy(write_frac, /*aggregation=*/false);
-  std::printf("  [off] steady %.0f ops/s, %lld owner-bound push msgs\n",
-              agg_off.steady_ops_per_sec,
-              static_cast<long long>(agg_off.owner_push_msgs));
-  // Write-through: every remote write is its own sync push message.
-  if (agg_off.owner_push_msgs != agg_off.remote_writes) {
+  const WriteHeavyResult agg_off = RunWriteHeavy(write_frac, 1);
+  // Every remote write is a sync push message and every fold a flush of
+  // its own; what is left are pulls re-requested behind a flush.
+  const int64_t rerequests = agg_off.owner_push_msgs -
+                             agg_off.remote_writes - agg_off.measured_folds;
+  std::printf(
+      "  [cap 1] steady %.0f ops/s, %lld owner-bound push msgs "
+      "(%lld re-requested pulls)\n",
+      agg_off.steady_ops_per_sec,
+      static_cast<long long>(agg_off.owner_push_msgs),
+      static_cast<long long>(rerequests));
+  if (agg_off.flushed_keys != agg_off.folds || rerequests < 0) {
     std::fprintf(stderr,
-                 "push message count %lld != remote writes %lld in the "
-                 "write-through run\n",
+                 "cap-1 run: %lld flushed keys for %lld folds, %lld push "
+                 "msgs for %lld remote writes + %lld folds\n",
+                 static_cast<long long>(agg_off.flushed_keys),
+                 static_cast<long long>(agg_off.folds),
                  static_cast<long long>(agg_off.owner_push_msgs),
-                 static_cast<long long>(agg_off.remote_writes));
+                 static_cast<long long>(agg_off.remote_writes),
+                 static_cast<long long>(agg_off.measured_folds));
     return 1;
   }
-  std::printf("write-heavy mix, aggregation on...\n");
+  std::printf("write-heavy mix, flush cap %u...\n",
+              ps::Config().replica_flush_max_folds);
   const WriteHeavyResult agg_on =
-      RunWriteHeavy(write_frac, /*aggregation=*/true);
+      RunWriteHeavy(write_frac, ps::Config().replica_flush_max_folds);
   std::printf(
       "  [on]  steady %.0f ops/s, %lld owner-bound push msgs, "
       "%lld folds\n",
@@ -466,9 +497,9 @@ int main(int argc, char** argv) {
       {"replica_reads", static_cast<double>(on.replica_reads), 0.0},
       {"remote_ops", static_cast<double>(on.steady_remote_ops),
        static_cast<double>(off.steady_remote_ops)},
-      // Write-heavy rows: value = aggregation on, baseline = off. The
-      // owner-message acceptance bar is reduction (baseline/value) >= 2,
-      // recorded explicitly as write_owner_msg_reduction.
+      // Write-heavy rows: value = default flush cap, baseline = cap 1.
+      // The owner-message acceptance bar is reduction (baseline/value)
+      // >= 2, recorded explicitly as write_owner_msg_reduction.
       {"write_throughput", agg_on.steady_ops_per_sec,
        agg_off.steady_ops_per_sec},
       {"write_owner_msgs", static_cast<double>(agg_on.owner_push_msgs),
@@ -482,6 +513,8 @@ int main(int argc, char** argv) {
       {"adaptive_flush_msg_reduction", flush_reduction, 1.5},
       {"adaptive_flush_hot_key_cap", adapt.hot_key_cap,
        static_cast<double>(kFlushGlobalCap)},
+      {"hardware_threads",
+       static_cast<double>(std::thread::hardware_concurrency()), 0.0},
   };
   if (!bench::WriteBenchJson("BENCH_replication.json", "micro_replication",
                              metrics)) {

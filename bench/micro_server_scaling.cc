@@ -15,7 +15,9 @@
 // acceptance bar (scaling_4v1 >= 2) is on this series. A secondary
 // host-bound series (server_ns_per_msg = 0) records what real parallelism
 // adds on this machine, labeled with its hardware thread count -- on a
-// 1-core box it is expectedly flat.
+// 1-core box it is expectedly flat. Its points run kHostPullsPerWorker
+// pulls each, enough for about a second on a 4-core host: shorter points
+// (a few ms) swing several-fold between runs with host scheduling.
 //
 // Writes BENCH_server_scaling.json:
 //   remote_pull_s{1,2,4}  -- pulls/s, service-modeled; baseline = s1
@@ -39,7 +41,8 @@ constexpr int kWorkersPerNode = 2;  // node 0's workers pull; node 1 idles
 constexpr uint64_t kKeys = 4096;    // 2048 homed per node
 constexpr size_t kLen = 8;
 constexpr int kWindow = 64;          // outstanding async pulls per worker
-constexpr int64_t kPullsPerWorker = 2'500;
+constexpr int64_t kPullsPerWorker = 2'500;         // service-modeled points
+constexpr int64_t kHostPullsPerWorker = 200'000;  // host-bound points
 // 5k msgs/s per drain thread. Chosen well above the host's per-wakeup
 // scheduling cost (tens of us on a loaded 1-core box): each paced
 // delivery costs one timed wakeup of real time, so the modeled service
@@ -64,7 +67,8 @@ ps::Config BenchConfig(int server_threads, int64_t serve_ns) {
   return cfg;
 }
 
-double RunRemotePulls(int server_threads, int64_t serve_ns) {
+double RunRemotePulls(int server_threads, int64_t serve_ns,
+                      int64_t pulls_per_worker) {
   ps::PsSystem system(BenchConfig(server_threads, serve_ns));
   const uint64_t begin = system.layout().HomeBegin(1);
   const uint64_t range = system.layout().HomeEnd(1) - begin;
@@ -78,7 +82,7 @@ double RunRemotePulls(int server_threads, int64_t serve_ns) {
     w.Barrier();
     if (w.node() == 0 && w.thread_slot() == 1) t.Restart();
     if (w.node() == 0) {
-      for (int64_t i = 0; i < kPullsPerWorker; ++i) {
+      for (int64_t i = 0; i < pulls_per_worker; ++i) {
         const size_t slot = static_cast<size_t>(i % kWindow);
         if (ops[slot] != ps::Worker::kImmediate) w.Wait(ops[slot]);
         // Per-worker offset so the two workers do not ride one key stream.
@@ -96,7 +100,7 @@ double RunRemotePulls(int server_threads, int64_t serve_ns) {
   });
 
   const double total =
-      static_cast<double>(kPullsPerWorker) * kWorkersPerNode;
+      static_cast<double>(pulls_per_worker) * kWorkersPerNode;
   return total / elapsed;
 }
 
@@ -121,7 +125,7 @@ int main() {
   double modeled[3] = {0, 0, 0};
   const int threads[3] = {1, 2, 4};
   for (int i = 0; i < 3; ++i) {
-    modeled[i] = RunRemotePulls(threads[i], kServeNsPerMsg);
+    modeled[i] = RunRemotePulls(threads[i], kServeNsPerMsg, kPullsPerWorker);
     std::printf("  server_threads=%d: %.0f remote pulls/s\n", threads[i],
                 modeled[i]);
   }
@@ -129,9 +133,9 @@ int main() {
   std::printf("scaling 4 threads vs 1: %.2fx (bar >= 2)\n", scaling);
 
   std::printf("host-bound series (no service model, %u hw threads):\n", hw);
-  const double host1 = RunRemotePulls(1, 0);
+  const double host1 = RunRemotePulls(1, 0, kHostPullsPerWorker);
   std::printf("  server_threads=1: %.0f remote pulls/s\n", host1);
-  const double host4 = RunRemotePulls(4, 0);
+  const double host4 = RunRemotePulls(4, 0, kHostPullsPerWorker);
   std::printf("  server_threads=4: %.0f remote pulls/s\n", host4);
 
   const std::vector<bench::JsonMetric> metrics = {

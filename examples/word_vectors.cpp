@@ -19,9 +19,7 @@
 //                                             Pushes to pinned words fold
 //                                             into local accumulators and
 //                                             flush in batches (write
-//                                             aggregation; add
-//                                             --write-through to compare
-//                                             against per-push forwarding)
+//                                             aggregation)
 
 #include <cstdio>
 #include <cstring>
@@ -33,27 +31,18 @@ int main(int argc, char** argv) {
   using namespace lapse;
   bool replication = false;
   bool auto_placement = false;
-  bool write_through = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--replication") == 0) {
       replication = true;
     } else if (std::strcmp(argv[i], "--auto-placement") == 0) {
       auto_placement = true;
-    } else if (std::strcmp(argv[i], "--write-through") == 0) {
-      write_through = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--auto-placement | --replication "
-                   "[--write-through]]\n",
+      std::fprintf(stderr, "usage: %s [--auto-placement | --replication]\n",
                    argv[0]);
       return 1;
     }
   }
   auto_placement |= replication;
-  if (write_through && !replication) {
-    std::fprintf(stderr, "--write-through requires --replication\n");
-    return 1;
-  }
 
   w2v::CorpusGenConfig gen;
   gen.vocab_size = 1500;
@@ -81,11 +70,9 @@ int main(int argc, char** argv) {
                                      net::LatencyConfig::Lan());
   pscfg.adaptive.enabled = auto_placement;
   pscfg.replication = replication;
-  pscfg.replica_write_aggregation = !write_through;
-  std::printf("placement: %s%s%s\n",
+  std::printf("placement: %s%s\n",
               auto_placement ? "adaptive engine" : "manual Localize()",
-              replication ? " + replication" : "",
-              replication && write_through ? " (write-through)" : "");
+              replication ? " + replication" : "");
   ps::PsSystem system(pscfg);
   InitW2vParams(system, corpus, cfg);
 

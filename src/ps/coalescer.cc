@@ -18,10 +18,6 @@ EnvelopeView::EnvelopeView(const Message& m) {
   LAPSE_CHECK_EQ(m.aux.size(), 1 + n_ops + m.keys.size());
   ops = m.aux.data() + 1;
   words = ops + n_ops;
-  acked = 0;
-  for (size_t s = 0; s < n_ops; ++s) {
-    if (OpIdOf(ops[s]) != OpTracker::kImmediate) acked |= uint64_t{1} << s;
-  }
 }
 
 void Envelope::Seal(const int64_t* op_words, Message* m) {
@@ -73,7 +69,7 @@ Coalescer::Coalescer(NodeContext* ctx, net::Endpoint* endpoint,
 }
 
 uint64_t Coalescer::RegisterOp(NodeId slot, SlotBatch& b) {
-  if (b.ops.empty() || b.ops.back().op_id != cur_op_) {
+  if (b.ops.empty() || b.ops.back().op_word != cur_op_) {
     // A queued sub-op cannot complete before its batch is sent, so a held
     // op's tracker id cannot be recycled: ids in one batch are distinct
     // and the back-of-list check is enough.
@@ -82,8 +78,8 @@ uint64_t Coalescer::RegisterOp(NodeId slot, SlotBatch& b) {
       if (hold_) cur_now_ = NowNanos();
     }
     if (b.ops.empty()) active_slots_.push_back(slot);
-    b.ops.push_back({cur_op_, cur_now_, cur_traced_});
-    if (hold_) ++queued_ops_[cur_op_];
+    b.ops.push_back({cur_op_, cur_now_});
+    if (hold_) ++queued_ops_[OpIdOf(cur_op_)];
   }
   return uint64_t{1} << (b.ops.size() - 1);
 }
@@ -122,7 +118,7 @@ void Coalescer::AddPush(NodeId slot, Key k, const Val* vals, size_t len) {
 void Coalescer::EndOp(bool send_now) {
   if (cur_queued_) ctx_->stats.coalesced_ops.Add(1);
   if (!active_slots_.empty()) Scan(send_now || !hold_);
-  cur_op_ = OpTracker::kImmediate;
+  cur_op_ = OpWord(OpTracker::kImmediate, false);
 }
 
 void Coalescer::Scan(bool send_cur) {
@@ -131,7 +127,7 @@ void Coalescer::Scan(bool send_cur) {
   for (size_t i = 0; i < active_slots_.size(); ++i) {
     const NodeId slot = active_slots_[i];
     SlotBatch& b = slots_[slot];
-    if ((send_cur && b.ops.back().op_id == cur_op_) ||
+    if ((send_cur && b.ops.back().op_word == cur_op_) ||
         b.ops.size() >= max_ops_ ||
         now - b.ops.front().enqueue_ns >= delay_ns_) {
       DrainSlot(slot, now);
@@ -156,18 +152,18 @@ void Coalescer::DrainSlot(NodeId slot, int64_t now) {
   const size_t n_ops = b.ops.size();
   op_words_.clear();
   for (const SubOp& s : b.ops) {
-    op_words_.push_back(OpWord(s.op_id, s.traced));
+    op_words_.push_back(s.op_word);
     if (!hold_) continue;
     const int64_t waited = now - s.enqueue_ns;
     if (ctx_->coalesce_wait_ns_hist != nullptr) {
       ctx_->coalesce_wait_ns_hist->Add(waited);
     }
-    if (s.traced && trace_ring_ != nullptr) {
+    if (IsTraced(s.op_word) && trace_ring_ != nullptr) {
       trace_ring_->TryPush(obs::TraceEvent::Dur(
-          obs::PackUid(ctx_->node, thread_, s.op_id),
+          obs::PackUid(ctx_->node, thread_, OpIdOf(s.op_word)),
           obs::Phase::kCoalesceWait, waited, ctx_->node));
     }
-    auto it = queued_ops_.find(s.op_id);
+    auto it = queued_ops_.find(OpIdOf(s.op_word));
     if (--it->second == 0) queued_ops_.erase(it);
   }
 

@@ -21,24 +21,31 @@ namespace ps {
 //            request, pulled values in a response (push acks carry none)
 //   aux[0]                  = n_ops, the number of sub-ops listed
 //   aux[1 .. n_ops]         = per-sub-op word: tracker op id, with
-//                             kTracedOpBit set when the op is traced; op id
-//                             kImmediate is a fire-and-forget sub-op that
-//                             is never acked (forwarded replica folds)
+//                             kTracedOpBit set when the op is traced and
+//                             kFlushOpBit when it is a replica flush (its
+//                             acks close flush epochs at the origin); op
+//                             id kImmediate is a sub-op nobody waits on
+//                             (a server's forwarded replica folds)
 //   aux[n_ops+1 ..]         = per-key-entry word: (mask << 1) | is_push,
 //                             mask bit s set <=> sub-op s references it
 // An envelope lists only the sub-ops its entries reference. The mask width
 // is what bounds coalesce_max_ops at kMaxSubOps.
 constexpr int64_t kTracedOpBit = int64_t{1} << 62;
+constexpr int64_t kFlushOpBit = int64_t{1} << 61;
 constexpr uint32_t kMaxSubOps = 62;
 
-constexpr int64_t OpWord(uint64_t op_id, bool traced) {
-  return static_cast<int64_t>(op_id) | (traced ? kTracedOpBit : 0);
+constexpr int64_t OpWord(uint64_t op_id, bool traced, bool flush = false) {
+  return static_cast<int64_t>(op_id) | (traced ? kTracedOpBit : 0) |
+         (flush ? kFlushOpBit : 0);
 }
 constexpr uint64_t OpIdOf(int64_t op_word) {
-  return static_cast<uint64_t>(op_word & ~kTracedOpBit);
+  return static_cast<uint64_t>(op_word & ~(kTracedOpBit | kFlushOpBit));
 }
 constexpr bool IsTraced(int64_t op_word) {
   return (op_word & kTracedOpBit) != 0;
+}
+constexpr bool IsFlush(int64_t op_word) {
+  return (op_word & kFlushOpBit) != 0;
 }
 constexpr int64_t EntryWord(uint64_t mask, bool is_push) {
   return static_cast<int64_t>((mask << 1) | (is_push ? 1 : 0));
@@ -55,7 +62,6 @@ struct EnvelopeView {
   size_t n_ops;
   const int64_t* ops;    // sub-op words
   const int64_t* words;  // entry words, one per key
-  uint64_t acked;        // sub-op bits owed an ack (op id != kImmediate)
 };
 
 // Write side: entries collected for one outgoing envelope, their masks
@@ -114,12 +120,12 @@ class Coalescer {
   Coalescer(const Coalescer&) = delete;
   Coalescer& operator=(const Coalescer&) = delete;
 
-  // Opens op `op_id`'s enqueue scope; AddPull/AddPush calls until EndOp
-  // belong to it. The enqueue clock is read on the first Add, and only when
-  // batches may be held, so ops that turn out fully local pay nothing.
-  void BeginOp(uint64_t op_id, bool traced) {
-    cur_op_ = op_id;
-    cur_traced_ = traced;
+  // Opens the enqueue scope of the op with word `op_word` (OpWord);
+  // AddPull/AddPush calls until EndOp belong to it. The enqueue clock is
+  // read on the first Add, and only when batches may be held, so ops that
+  // turn out fully local pay nothing.
+  void BeginOp(int64_t op_word) {
+    cur_op_ = op_word;
     cur_queued_ = false;
   }
 
@@ -157,9 +163,8 @@ class Coalescer {
 
  private:
   struct SubOp {
-    uint64_t op_id;
+    int64_t op_word;
     int64_t enqueue_ns;
-    bool traced;
   };
   // One batch: everything queued for one (destination, shard) slot.
   struct SlotBatch {
@@ -200,9 +205,8 @@ class Coalescer {
   std::unordered_map<uint64_t, uint32_t> queued_ops_;
   std::vector<int64_t> op_words_;  // DrainSlot scratch
 
-  // Current enqueue scope (BeginOp .. EndOp).
-  uint64_t cur_op_ = OpTracker::kImmediate;
-  bool cur_traced_ = false;
+  // Current enqueue scope (BeginOp .. EndOp): the op's word.
+  int64_t cur_op_ = OpWord(OpTracker::kImmediate, false);
   bool cur_queued_ = false;  // the current op queued a key
   int64_t cur_now_ = 0;      // its enqueue time (held batches only)
 };

@@ -101,8 +101,8 @@ struct AdaptiveConfig {
   // --- per-key adaptive flush sizing ------------------------------------
   // Scale each pinned key's replica flush cap (replica_flush_max_folds)
   // with its observed write rate: hot writers batch up to the global cap,
-  // cold writers flush promptly at the floor. Requires replication with
-  // write aggregation; keys with no tracked samples keep the global cap.
+  // cold writers flush promptly at the floor. Requires replication; keys
+  // with no tracked samples keep the global cap.
   bool adaptive_flush = false;
   // Lower bound of the per-key cap (what a write-cold pinned key gets).
   uint32_t flush_folds_floor = 4;
@@ -160,22 +160,25 @@ struct Config {
   // keep it well above the interconnect round-trip time or replicas
   // thrash (see bench/micro_replication.cc).
   int64_t replica_staleness_micros = 2000;
-  // Write aggregation (Petuum-style accumulators): pushes to pinned keys
-  // fold into a per-key local accumulator instead of paying one owner
-  // round-trip each; accumulators are flushed to the owners in batches,
-  // one coalesced message per destination node. Off reverts to PR-3
-  // write-through (every push forwarded immediately).
-  bool replica_write_aggregation = true;
+  // Pushes to pinned keys fold into a per-key local accumulator (and the
+  // node's copy) instead of paying one owner round trip each (Petuum-style
+  // write aggregation). Accumulators are flushed to the owners in batches,
+  // one envelope per destination (node, shard), on the two triggers
+  // below; each flush is acked, and until that ack arrives the node holds
+  // back owner snapshots of the key that might lack it, so the node's
+  // reads always include its own writes (ReplicaManager).
+  //
   // A flush is due once the oldest unflushed fold on the node is this
   // old. Must be <= replica_staleness_micros: folds older than the
   // staleness bound would make other nodes' replica-served reads lag the
-  // contract. Flush triggers ride the push path, so a node that stops
-  // pushing entirely flushes its last folds when its workers wind down
-  // (Worker teardown) rather than on this timer.
+  // contract. Flush triggers ride the push path (this one is checked
+  // before a push folds), so a node that stops pushing entirely flushes
+  // its last folds when its workers wind down (Worker teardown) rather
+  // than on this timer.
   int64_t replica_flush_micros = 500;
   // A key's accumulator is flushed once it holds this many folds, even if
-  // the age trigger has not fired yet. 1 flushes every push (write-through
-  // message count, still batched per destination).
+  // the age trigger has not fired yet. 1 flushes every push: one owner
+  // message per write, as if every push were sent straight to the owner.
   uint32_t replica_flush_max_folds = 32;
 
   // --- bounded-delay request coalescing (ps::Coalescer) -----------------

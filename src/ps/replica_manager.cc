@@ -1,7 +1,9 @@
 #include "ps/replica_manager.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "util/logging.h"
 #include "util/timer.h"
 
 namespace lapse {
@@ -9,41 +11,27 @@ namespace ps {
 
 ReplicaManager::ReplicaManager(const KeyLayout* layout,
                                int64_t staleness_micros, size_t num_latches,
-                               bool aggregate_writes, int64_t flush_micros,
-                               uint32_t flush_max_folds)
+                               int64_t flush_micros, uint32_t flush_max_folds)
     : layout_(layout),
       staleness_ns_(staleness_micros * 1000),
-      aggregate_(aggregate_writes),
       flush_ns_(flush_micros * 1000),
       flush_max_folds_(flush_max_folds),
-      values_(layout->num_keys()),
-      acc_(layout->num_keys()),
-      fold_counts_(layout->num_keys(), 0),
-      flush_caps_(layout->num_keys(), 0),
-      unacked_writes_(layout->num_keys(), 0),
-      write_settled_ns_(layout->num_keys(), 0),
+      pins_(layout->num_keys()),
       install_ns_(layout->num_keys()),
       pinned_(layout->num_keys()),
+      epoch_(layout->num_keys()),
       latches_(num_latches) {
   for (auto& t : install_ns_) t.store(kAbsent, std::memory_order_relaxed);
   for (auto& p : pinned_) p.store(0, std::memory_order_relaxed);
+  for (auto& e : epoch_) e.store(0, std::memory_order_relaxed);
 }
 
 void ReplicaManager::Pin(Key k) {
   LatchGuard latch(latches_.ForKey(k));
   if (IsPinned(k)) return;
-  // The buffers exist before the pin flag is published, so a reader that
-  // sees the flag always finds them (the copy starts absent either way).
-  const size_t len = layout_->Length(k);
-  values_[k] = std::make_unique<Val[]>(len);
-  if (aggregate_) {
-    acc_[k] = std::make_unique<Val[]>(len);
-    std::memset(acc_[k].get(), 0, len * sizeof(Val));
-    fold_counts_[k] = 0;
-    flush_caps_[k] = 0;  // every pin starts at the configured cap
-  }
-  unacked_writes_[k] = 0;
-  write_settled_ns_[k] = 0;
+  // The state exists before the pin flag is published, so a reader that
+  // sees the flag always finds it (the copy starts absent either way).
+  pins_[k] = std::make_unique<Pinned>(layout_->Length(k));
   pinned_[k].store(1, std::memory_order_release);
   n_pinned_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -54,16 +42,13 @@ bool ReplicaManager::Unpin(Key k, Val* pending) {
   if (!IsPinned(k)) return false;
   // Hand back pending folds and drop the pin under this one latch hold:
   // a FoldWrite cannot slip between the hand-back and the unpin.
-  const bool had_folds = aggregate_ && TakeFoldsLocked(k, latch, pending);
+  const bool had_folds = TakeFoldsLocked(k, *pins_[k], latch, pending);
   pinned_[k].store(0, std::memory_order_release);
   install_ns_[k].store(kAbsent, std::memory_order_release);
-  values_[k].reset();
-  acc_[k].reset();
-  unacked_writes_[k] = 0;
-  write_settled_ns_[k] = 0;
+  pins_[k].reset();
   n_pinned_.fetch_sub(1, std::memory_order_relaxed);
   n_unpins_.fetch_add(1, std::memory_order_relaxed);
-  return had_folds && pending != nullptr;
+  return had_folds;
 }
 
 bool ReplicaManager::TryRead(Key k, Val* dst) {
@@ -82,7 +67,7 @@ bool ReplicaManager::TryRead(Key k, Val* dst) {
     n_stale_misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  std::memcpy(dst, values_[k].get(), layout_->Length(k) * sizeof(Val));
+  std::memcpy(dst, pins_[k]->copy.data(), layout_->Length(k) * sizeof(Val));
   if (obs::Histogram* h =
           read_age_hist_.load(std::memory_order_acquire)) {
     h->Add(now - tag2);
@@ -90,131 +75,136 @@ bool ReplicaManager::TryRead(Key k, Val* dst) {
   return true;
 }
 
-void ReplicaManager::Install(Key k, const Val* data, int64_t issue_ns) {
+bool ReplicaManager::Install(Key k, const Val* snapshot, int64_t issue_ns,
+                             Val* out) {
   LatchGuard latch(latches_.ForKey(k));
-  if (!IsPinned(k)) return;
-  // Write-epoch check (write-through mode): a snapshot requested while a
-  // local push was in flight -- or before the last one settled -- may
-  // predate that push; installing it would overwrite the local fold and
-  // un-publish this node's own write. Drop it; a later refresh (issued
-  // after the settle point) installs cleanly. Conservative drops are
-  // benign: the copy just stays absent/stale one round-trip longer.
-  if (!aggregate_ &&
-      (unacked_writes_[k] > 0 || issue_ns < write_settled_ns_[k])) {
-    return;
-  }
+  // The epoch check: a snapshot requested while a flush of k was in flight
+  // -- or before the last one settled -- may predate it, and the drained
+  // folds are no longer in the accumulator to be put back.
+  const int64_t epoch = epoch_[k].load(std::memory_order_relaxed);
+  if (epoch < 0 || issue_ns < epoch) return false;
   const size_t len = layout_->Length(k);
-  std::memcpy(values_[k].get(), data, len * sizeof(Val));
-  if (aggregate_ && fold_counts_[k] > 0) {
+  const Val* answer = snapshot;
+  if (Pinned* p = pins_[k].get()) {
     // Pending folds postdate any owner snapshot: put them back on top so
-    // the visible copy keeps this node's own unflushed writes.
-    Val* slot = values_[k].get();
-    const Val* acc = acc_[k].get();
-    for (size_t i = 0; i < len; ++i) slot[i] += acc[i];
+    // the copy keeps this node's own unflushed writes.
+    for (size_t i = 0; i < len; ++i) p->copy[i] = snapshot[i] + p->acc[i];
+    install_ns_[k].store(NowNanos(), std::memory_order_release);
+    n_installs_.fetch_add(1, std::memory_order_relaxed);
+    answer = p->copy.data();
   }
-  install_ns_[k].store(NowNanos(), std::memory_order_release);
-  n_installs_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ReplicaManager::Accumulate(Key k, const Val* update) {
-  LatchGuard latch(latches_.ForKey(k));
-  if (!IsPinned(k)) return;
-  // Open the write epoch before the absent-copy early return: even with no
-  // copy to fold into, a refresh already in flight may carry a pre-push
-  // snapshot, and Install must know to drop it.
-  ++unacked_writes_[k];
-  if (install_ns_[k].load(std::memory_order_acquire) == kAbsent) return;
-  Val* slot = values_[k].get();
-  const size_t len = layout_->Length(k);
-  for (size_t i = 0; i < len; ++i) slot[i] += update[i];
+  if (out != nullptr) std::memcpy(out, answer, len * sizeof(Val));
+  return true;
 }
 
 void ReplicaManager::NoteWriteAcked(Key k) {
   LatchGuard latch(latches_.ForKey(k));
-  // The count can be zero after a Pin/Unpin cycle raced the ack; ignore.
-  if (unacked_writes_[k] > 0 && --unacked_writes_[k] == 0) {
-    write_settled_ns_[k] = NowNanos();
-  }
+  const int64_t epoch = epoch_[k].load(std::memory_order_relaxed);
+  LAPSE_CHECK_LT(epoch, 0) << "flush ack for key " << k
+                           << " with no flush in flight";
+  epoch_[k].store(epoch == -1 ? NowNanos() : epoch + 1,
+                  std::memory_order_release);
 }
 
 ReplicaManager::FoldOutcome ReplicaManager::FoldWrite(Key k,
                                                       const Val* update) {
-  if (!aggregate_ || !IsPinned(k)) return FoldOutcome::kNotAggregated;
-  const int64_t now = NowNanos();
+  if (!IsPinned(k)) return FoldOutcome::kNotPinned;
   LatchGuard latch(latches_.ForKey(k));
-  if (!IsPinned(k)) return FoldOutcome::kNotAggregated;  // raced an unpin
+  Pinned* p = pins_[k].get();
+  if (p == nullptr) return FoldOutcome::kNotPinned;  // raced an unpin
   const size_t len = layout_->Length(k);
-  Val* acc = acc_[k].get();
-  for (size_t i = 0; i < len; ++i) acc[i] += update[i];
+  for (size_t i = 0; i < len; ++i) p->acc[i] += update[i];
   // Read-your-writes: fold into the visible copy too (when present) so
   // this node's readers see the write before the owner does.
   if (install_ns_[k].load(std::memory_order_acquire) != kAbsent) {
-    Val* slot = values_[k].get();
-    for (size_t i = 0; i < len; ++i) slot[i] += update[i];
+    for (size_t i = 0; i < len; ++i) p->copy[i] += update[i];
   }
   n_folds_.fetch_add(1, std::memory_order_relaxed);
-  if (++fold_counts_[k] == 1) {
+  if (++p->folds == 1) {
     MutexLock lock(dirty_mu_);
     dirty_.push_back(k);
     ++n_dirty_;
     if (oldest_fold_ns_.load(std::memory_order_relaxed) == kAbsent) {
-      oldest_fold_ns_.store(now, std::memory_order_release);
+      oldest_fold_ns_.store(NowNanos(), std::memory_order_release);
     }
   }
-  const uint32_t cap =
-      flush_caps_[k] != 0 ? flush_caps_[k] : flush_max_folds_;
-  if (fold_counts_[k] >= cap) {
-    return FoldOutcome::kFoldedFlushDue;
-  }
+  const uint32_t cap = p->flush_cap != 0 ? p->flush_cap : flush_max_folds_;
+  return p->folds >= cap ? FoldOutcome::kFoldedFlushDue : FoldOutcome::kFolded;
+}
+
+bool ReplicaManager::FlushDue() const {
   const int64_t oldest = oldest_fold_ns_.load(std::memory_order_acquire);
-  if (oldest != kAbsent && now - oldest >= flush_ns_) {
-    return FoldOutcome::kFoldedFlushDue;
+  return oldest != kAbsent && NowNanos() - oldest >= flush_ns_;
+}
+
+size_t ReplicaManager::DrainDirty(std::vector<Key>* keys,
+                                  std::vector<Val>* vals) {
+  std::vector<Key> dirty;
+  {
+    MutexLock lock(dirty_mu_);
+    dirty.swap(dirty_);
+    oldest_fold_ns_.store(kAbsent, std::memory_order_release);
   }
-  return FoldOutcome::kFolded;
+  size_t drained = 0;
+  for (const Key k : dirty) {
+    Latch& latch = latches_.ForKey(k);
+    LatchGuard guard(latch);
+    // A racing DrainKey/Unpin may have emptied or freed the slot.
+    Pinned* p = pins_[k].get();
+    if (p == nullptr || p->folds == 0) continue;
+    const size_t off = vals->size();
+    vals->resize(off + p->acc.size());
+    TakeFoldsLocked(k, *p, latch, vals->data() + off);
+    keys->push_back(k);
+    ++drained;
+  }
+  n_flushed_keys_.fetch_add(static_cast<int64_t>(drained),
+                            std::memory_order_relaxed);
+  return drained;
 }
 
 bool ReplicaManager::DrainKey(Key k, Val* out) {
-  if (!aggregate_) return false;
   Latch& latch = latches_.ForKey(k);
   LatchGuard guard(latch);
-  if (!TakeFoldsLocked(k, latch, out)) return false;
+  Pinned* p = pins_[k].get();
+  if (p == nullptr || !TakeFoldsLocked(k, *p, latch, out)) return false;
   n_flushed_keys_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-bool ReplicaManager::TakeFoldsLocked(Key k, Latch& latch, Val* out) {
-  if (fold_counts_[k] == 0) return false;
-  const size_t len = layout_->Length(k);
-  if (out != nullptr) std::memcpy(out, acc_[k].get(), len * sizeof(Val));
-  std::memset(acc_[k].get(), 0, len * sizeof(Val));
-  fold_counts_[k] = 0;  // the dirty-list entry becomes a skipped no-op
-  NoteKeyDrained(latch);
-  return true;
-}
-
-void ReplicaManager::NoteKeyDrained(Latch& key_latch) {
-  (void)key_latch;  // capability-only parameter: names the held latch
+bool ReplicaManager::TakeFoldsLocked(Key k, Pinned& p, Latch& latch,
+                                     Val* out) {
+  (void)latch;  // capability-only parameter: names the held latch
+  if (p.folds == 0) return false;
+  std::memcpy(out, p.acc.data(), p.acc.size() * sizeof(Val));
+  std::fill(p.acc.begin(), p.acc.end(), Val{0});
+  p.folds = 0;  // the dirty-list entry becomes a skipped no-op
+  const int64_t epoch = epoch_[k].load(std::memory_order_relaxed);
+  epoch_[k].store(epoch < 0 ? epoch - 1 : -1, std::memory_order_release);
   MutexLock lock(dirty_mu_);
   if (--n_dirty_ == 0) {
     // The set went clean: re-arm the age clock, or the stale timestamp
     // would make the next fold anywhere spuriously report a flush as due.
     oldest_fold_ns_.store(kAbsent, std::memory_order_release);
   }
+  return true;
 }
 
 void ReplicaManager::SetFlushCap(Key k, uint32_t cap) {
   LatchGuard latch(latches_.ForKey(k));
-  flush_caps_[k] = cap;
+  if (Pinned* p = pins_[k].get()) p->flush_cap = cap;
 }
 
 uint32_t ReplicaManager::FlushCap(Key k) {
   LatchGuard latch(latches_.ForKey(k));
-  return flush_caps_[k] != 0 ? flush_caps_[k] : flush_max_folds_;
+  const Pinned* p = pins_[k].get();
+  return p != nullptr && p->flush_cap != 0 ? p->flush_cap : flush_max_folds_;
 }
 
 uint32_t ReplicaManager::PendingFolds(Key k) {
   LatchGuard latch(latches_.ForKey(k));
-  return fold_counts_[k];
+  const Pinned* p = pins_[k].get();
+  return p != nullptr ? p->folds : 0;
 }
 
 void ReplicaManager::Invalidate(Key k) {

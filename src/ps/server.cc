@@ -217,11 +217,7 @@ void Server::RouteEntry(const Message& msg, const EnvelopeView& in, Key k,
   if (state == KeyState::kOwned) {
     Val* slot = ctx_->store->GetOrCreate(k);
     if (is_push) AddTo(slot, push_vals, len);
-    // Fire-and-forget sub-ops (forwarded replica folds) are owed no ack.
-    const uint64_t acked = EntryMask(word) & in.acked;
-    if (acked != 0) {
-      reply_.Add(k, EntryWord(acked, is_push), slot, is_push ? 0 : len);
-    }
+    reply_.Add(k, word, slot, is_push ? 0 : len);
     return;
   }
   if (state != KeyState::kArriving) {
@@ -271,6 +267,7 @@ void Server::SendRouted(const Message& msg, const EnvelopeView& in) {
 void Server::HandleResponse(const Message& msg) {
   const EnvelopeView in(msg);
   OpTracker& tracker = ctx_->TrackerFor(msg.orig_thread);
+  ReplicaManager* const replicas = ctx_->replicas.get();
   op_counts_.assign(in.n_ops, 0);
 
   // Phase A: scatter values/acks per entry, counting completed keys per
@@ -285,13 +282,15 @@ void Server::HandleResponse(const Message& msg) {
     if (ctx_->cache) ctx_->cache->Update(k, msg.src_node);
 
     if (IsPush(word)) {
-      // Write-through mode: the acked push has reached the owner, so
-      // replica refreshes issued from now on reflect it.
-      if (ctx_->replicas && !ctx_->replicas->aggregates_writes()) {
-        ctx_->replicas->NoteWriteAcked(k);
-      }
       for (uint64_t r = mask; r != 0; r &= r - 1) {
-        ++op_counts_[static_cast<size_t>(__builtin_ctzll(r))];
+        const size_t s = static_cast<size_t>(__builtin_ctzll(r));
+        ++op_counts_[s];
+        // A replica flush's ack closes the epoch its drain opened; the
+        // pulls the epoch held back are asked again once it is closed.
+        if (IsFlush(in.ops[s])) {
+          replicas->NoteWriteAcked(k);
+          SendRefetches(k);
+        }
       }
       continue;
     }
@@ -299,10 +298,34 @@ void Server::HandleResponse(const Message& msg) {
     const size_t len = ctx_->layout->Length(k);
     const Val* vals = msg.vals.data() + val_off;
     val_off += len;
-    // Pull-through refresh: a returning owner value is exactly the fresh
-    // copy a pinned replica needs.
-    const bool install = ctx_->replicas && ctx_->replicas->IsPinned(k);
-    int64_t min_issue = 0;
+    bool installed = false;
+    if (replicas != nullptr && replicas->NeedsInstall(k)) {
+      // The answer must hold this node's own writes: Install adds the
+      // pending folds (and refreshes a pinned copy), or refuses a snapshot
+      // that may lack folds already flushed. A sub-op's snapshot was asked
+      // for at its op's issue or, if re-requested, at the resend.
+      int64_t issue = INT64_MAX;
+      for (uint64_t r = mask; r != 0; r &= r - 1) {
+        const int64_t op_word = in.ops[__builtin_ctzll(r)];
+        const auto it = refetches_.find({k, msg.orig_thread, op_word});
+        if (it == refetches_.end()) {
+          issue = std::min(issue, tracker.IssueNs(OpIdOf(op_word)));
+        } else {
+          issue = std::min(issue, it->second);
+          refetches_.erase(it);
+        }
+      }
+      if (val_buf_.size() < len) val_buf_.resize(len);
+      if (!replicas->Install(k, vals, issue, val_buf_.data())) {
+        for (uint64_t r = mask; r != 0; r &= r - 1) {
+          refetches_[{k, msg.orig_thread, in.ops[__builtin_ctzll(r)]}] = 0;
+        }
+        SendRefetches(k);
+        continue;
+      }
+      vals = val_buf_.data();
+      installed = replicas->IsPinned(k);
+    }
     uint64_t refresh_uid = 0;
     for (uint64_t r = mask; r != 0; r &= r - 1) {
       const size_t s = static_cast<size_t>(__builtin_ctzll(r));
@@ -313,22 +336,13 @@ void Server::HandleResponse(const Message& msg) {
       LAPSE_CHECK(dst != nullptr);
       std::memcpy(dst, vals, len * sizeof(Val));
       ++op_counts_[s];
-      if (!install) continue;
-      // Write-epoch stamp: a snapshot requested before a local write
-      // settled must not overwrite the fold, so the earliest referencing
-      // sub-op's issue time is the conservative one.
-      const int64_t issue = tracker.IssueNs(op);
-      if (min_issue == 0 || issue < min_issue) min_issue = issue;
-      if (refresh_uid == 0 && IsTraced(in.ops[s])) {
+      if (installed && refresh_uid == 0 && IsTraced(in.ops[s])) {
         refresh_uid = obs::PackUid(msg.orig_node, msg.orig_thread, op);
       }
     }
-    if (install) {
-      ctx_->replicas->Install(k, vals, min_issue);
-      if (refresh_uid != 0 && trace_ring_ != nullptr) {
-        trace_ring_->TryPush(obs::TraceEvent::Mark(
-            refresh_uid, obs::Phase::kReplicaRefresh, ctx_->node));
-      }
+    if (refresh_uid != 0 && trace_ring_ != nullptr) {
+      trace_ring_->TryPush(obs::TraceEvent::Mark(
+          refresh_uid, obs::Phase::kReplicaRefresh, ctx_->node));
     }
   }
 
@@ -341,6 +355,21 @@ void Server::HandleResponse(const Message& msg) {
       trace_ring_->TryPush(obs::TraceEvent::Complete(
           obs::PackUid(msg.orig_node, msg.orig_thread, op), now, ctx_->node));
     }
+  }
+}
+
+void Server::SendRefetches(Key k) {
+  if (ctx_->replicas->FlushInFlight(k)) return;
+  for (auto it = refetches_.lower_bound({k, 0, 0});
+       it != refetches_.end() && std::get<0>(it->first) == k; ++it) {
+    if (it->second != 0) continue;  // already asked again
+    it->second = NowNanos();
+    const int32_t thread = std::get<1>(it->first);
+    const int64_t op_word = std::get<2>(it->first);
+    Message m = OneEntry(ctx_->node, thread, &op_word, k,
+                         EntryWord(1, /*is_push=*/false), nullptr, 0);
+    m.dst_node = RouteDst(k);
+    endpoint_->Send(std::move(m));
   }
 }
 
@@ -727,12 +756,14 @@ void Server::HandleReplicaInvalidate(const Message& msg) {
 void Server::ForwardReplicaFolds(Key k) {
   if (ctx_->replicas == nullptr) return;
   const size_t len = ctx_->layout->Length(k);
-  if (fold_buf_.size() < len) fold_buf_.resize(len);
-  if (!ctx_->replicas->DrainKey(k, fold_buf_.data())) return;
-  // A push by sub-op kImmediate: fire-and-forget, no ack owed.
-  const int64_t op_word = OpWord(OpTracker::kImmediate, /*traced=*/false);
+  if (val_buf_.size() < len) val_buf_.resize(len);
+  if (!ctx_->replicas->DrainKey(k, val_buf_.data())) return;
+  // A flush by sub-op kImmediate: no op waits on it, but its ack comes
+  // back here (orig thread 0) and closes the epoch DrainKey opened.
+  const int64_t op_word =
+      OpWord(OpTracker::kImmediate, /*traced=*/false, /*flush=*/true);
   Message m = OneEntry(ctx_->node, 0, &op_word, k, EntryWord(1, true),
-                       fold_buf_.data(), len);
+                       val_buf_.data(), len);
   // RouteDst may name this node itself (the invalidation raced our own
   // localize); the self-send delivers through the inbox and HandleRequest
   // applies or defers it like any other push.

@@ -1,7 +1,9 @@
 #ifndef LAPSE_PS_SERVER_H_
 #define LAPSE_PS_SERVER_H_
 
+#include <map>
 #include <memory>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +60,9 @@ class Server {
   // referencing sub-op's buffer (same-key pulls fan out from one entry),
   // refresh replicas/caches, and complete each sub-op in the tracker.
   void HandleResponse(const net::Message& msg);
+  // Unless a flush of k is in flight, asks k's owner again for every
+  // pull of k that waits in refetches_.
+  void SendRefetches(Key k);
 
   // Home-node side of localize (message 1 -> message 2). Under the
   // broadcast-relocations strategy this arrives directly at the believed
@@ -88,9 +93,9 @@ class Server {
   // by HandleLocalize right after the home's owner view changes).
   void InvalidateReplicaHolders(Key k);
   // Drains key k's pending write folds (if any) from the node's replica
-  // store and forwards them toward the key's current owner as a
-  // fire-and-forget push. Called before an invalidation is honored, so
-  // the invalidate/flush race can never lose aggregated updates.
+  // store and forwards them toward the key's current owner as a flush no
+  // op waits on. Called before an invalidation is honored, so the
+  // invalidate/flush race can never lose aggregated updates.
   void ForwardReplicaFolds(Key k);
 
   // Hands owned key k (caller holds the latch) over to `requester`: removes
@@ -130,10 +135,9 @@ class Server {
   // buffer for Inbox::TakeBatch.
   DestGroups groups_;
   std::vector<net::Message> batch_;
-  // Scratch for draining one key's replica write accumulator. Not
-  // groups_: ForwardReplicaFolds runs inside handlers that are mid-use of
-  // the grouping scratch (HandleLocalize).
-  std::vector<Val> fold_buf_;
+  // One key's value: a drained replica accumulator (ForwardReplicaFolds),
+  // or a pull's answer from ReplicaManager::Install (HandleResponse).
+  std::vector<Val> val_buf_;
   // Envelope scratch of RouteEntry/SendRouted: the reply to the origin, and
   // one forward per destination node (touched in fwd_dsts_).
   Envelope reply_;
@@ -141,6 +145,11 @@ class Server {
   std::vector<NodeId> fwd_dsts_;
   // Per-sub-op completion counts of HandleResponse.
   std::vector<size_t> op_counts_;
+
+  // Pull sub-ops (key, origin thread, op word) whose owner snapshot the
+  // flush epoch refused (ReplicaManager::Install), and when each was asked
+  // again (0 = not yet: a flush of the key is in flight).
+  std::map<std::tuple<Key, int32_t, int64_t>, int64_t> refetches_;
 
   // Which nodes hold a replica of each key homed here. Server-thread-only
   // (registrations and ownership moves both arrive on this thread), so no

@@ -69,8 +69,7 @@ PsSystem::PsSystem(Config config)
     if (config_.replication) {
       ctx->replicas = std::make_unique<ReplicaManager>(
           &layout_, config_.replica_staleness_micros, config_.num_latches,
-          config_.replica_write_aggregation, config_.replica_flush_micros,
-          config_.replica_flush_max_folds);
+          config_.replica_flush_micros, config_.replica_flush_max_folds);
     }
     nodes_.push_back(std::move(ctx));
   }

@@ -211,7 +211,7 @@ uint64_t Worker::PullAsync(const std::vector<Key>& keys, Val* dst) {
     }
   }
   const uint64_t op = tracker_->Create(dst, sc.key_offsets, NowNanos());
-  coalescer_.BeginOp(op, traced);
+  coalescer_.BeginOp(OpWord(op, traced));
 
   size_t inline_done = 0;
   int64_t local_reads = static_cast<int64_t>(done) - replica_reads;
@@ -274,6 +274,8 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
                            const Val* updates) {
   CheckDistinct(keys);
   coalescer_.MaybeDrain();
+  // The age trigger drains before this push folds anything (FlushDue).
+  if (replicas_ != nullptr && replicas_->FlushDue()) FlushReplicas();
   if (SampleThisOp()) RecordAccessSample(keys, /*is_write=*/true);
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
@@ -301,7 +303,7 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
         if (replicas_ != nullptr) {
           const ReplicaManager::FoldOutcome fold =
               replicas_->FoldWrite(k, updates + done_off);
-          if (fold != ReplicaManager::FoldOutcome::kNotAggregated) {
+          if (fold != ReplicaManager::FoldOutcome::kNotPinned) {
             flush_due |=
                 (fold == ReplicaManager::FoldOutcome::kFoldedFlushDue);
             ++replica_folds;
@@ -341,7 +343,7 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     }
   }
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
-  coalescer_.BeginOp(op, traced);
+  coalescer_.BeginOp(OpWord(op, traced));
 
   size_t inline_done = 0;
   // The fast-path prefix mixes owned writes and replica folds; only the
@@ -379,19 +381,13 @@ uint64_t Worker::PushAsync(const std::vector<Key>& keys,
     if (!handled && replicas_ != nullptr) {
       const ReplicaManager::FoldOutcome fold =
           replicas_->FoldWrite(k, updates + off);
-      if (fold != ReplicaManager::FoldOutcome::kNotAggregated) {
-        // Aggregated: the fold is the whole operation for this key; the
-        // flush that carries it to the owner is issued below.
+      if (fold != ReplicaManager::FoldOutcome::kNotPinned) {
+        // The fold is the whole operation for this key; the flush that
+        // carries it to the owner is issued below.
         flush_due |= (fold == ReplicaManager::FoldOutcome::kFoldedFlushDue);
         ++inline_done;
         ++replica_folds;
         handled = true;
-      } else if (replicas_->IsPinned(k)) {
-        // Aggregation off -- write-through, local half: fold the update
-        // into the replica so this node's readers see it before the
-        // owner's ack. The authoritative update still goes to the owner
-        // below.
-        replicas_->Accumulate(k, updates + off);
       }
     }
     if (handled) continue;
@@ -607,18 +603,19 @@ uint64_t Worker::PushFolds() {
   if (sc.flush_keys.empty()) return kImmediate;
   const bool traced = TraceThisOp();
   const int64_t t_issue = traced ? NowNanos() : 0;
-  // Drained folds travel as ordinary cumulative pushes, tracked like any
-  // push: the op completes when every owner acked, which is what makes
-  // WaitAll a flush barrier. A key localized here since its last fold
-  // routes through its home and comes straight back -- the relocation
-  // protocol already handles that.
+  // Drained folds travel as cumulative pushes, tracked like any push: the
+  // op completes when every owner acked, which is what makes WaitAll a
+  // flush barrier. The flush bit makes each ack close its key's epoch at
+  // this node. A key localized here since its last fold routes through
+  // its home and comes straight back -- the relocation protocol already
+  // handles that.
   sc.key_offsets.clear();
   for (const Key k : sc.flush_keys) sc.key_offsets.emplace_back(k, 0);
   const uint64_t op = tracker_->Create(nullptr, sc.key_offsets, NowNanos());
   if (traced) {
     RecordTrace(obs::OpKind::kFlush, op, t_issue, /*replica_misses=*/0);
   }
-  coalescer_.BeginOp(op, traced);
+  coalescer_.BeginOp(OpWord(op, traced, /*flush=*/true));
   size_t off = 0;
   for (const Key k : sc.flush_keys) {
     const size_t len = ctx_->layout->Length(k);
@@ -647,17 +644,11 @@ void Worker::SendReplicaControl(MsgType type) {
 }
 
 uint64_t Worker::FlushReplicas() {
-  if (replicas_ == nullptr || !replicas_->aggregates_writes()) {
-    return kImmediate;
-  }
+  if (replicas_ == nullptr) return kImmediate;
   Scratch& sc = scratch_;
   sc.flush_keys.clear();
   sc.flush_vals.clear();
-  replicas_->DrainDirty([&](Key k, const Val* acc) {
-    sc.flush_keys.push_back(k);
-    sc.flush_vals.insert(sc.flush_vals.end(), acc,
-                         acc + ctx_->layout->Length(k));
-  });
+  replicas_->DrainDirty(&sc.flush_keys, &sc.flush_vals);
   return PushFolds();
 }
 

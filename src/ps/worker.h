@@ -74,7 +74,7 @@ class Worker {
   // replica holder at each key's home (so ownership moves invalidate the
   // copy). From then on, pulls of the keys are served from node-local
   // memory whenever the copy is within the staleness bound, and pushes
-  // write through (local fold + forward to owner). Fire-and-forget, like
+  // fold into the node's write accumulators. Fire-and-forget, like
   // Evict; duplicates and already-pinned keys are skipped. Returns the
   // number of keys newly pinned. No-op unless Config::replication is on.
   size_t Replicate(const std::vector<Key>& keys);

@@ -235,17 +235,6 @@ TEST(ConfigValidationTest, FlushIntervalAtStalenessBoundPasses) {
   cfg.Normalize();  // must not die
 }
 
-TEST(ConfigValidationTest, FlushKnobsIgnoredWithAggregationOff) {
-  // With write-through (aggregation off) the flush knobs are dead; bad
-  // values must not kill an otherwise valid deployment.
-  ps::Config cfg = ValidConfig();
-  cfg.replication = true;
-  cfg.replica_write_aggregation = false;
-  cfg.replica_flush_micros = 0;
-  cfg.replica_flush_max_folds = 0;
-  cfg.Normalize();  // must not die
-}
-
 // ---- policy unpin knobs ------------------------------------------------
 
 TEST(ConfigValidationDeathTest, UnreplicateFractionOutOfRangeDies) {
@@ -349,9 +338,9 @@ TEST(ConfigValidationTest, AdaptiveFlushDefaultsAreValid) {
   cfg.Normalize();  // must not die
 }
 
-TEST(ConfigValidationDeathTest, AdaptiveFlushNeedsAggregation) {
+TEST(ConfigValidationDeathTest, AdaptiveFlushNeedsReplication) {
   ps::Config cfg = ValidAdaptiveFlushConfig();
-  cfg.replica_write_aggregation = false;
+  cfg.replication = false;
   EXPECT_DEATH(cfg.Normalize(), "adaptive_flush");
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "ps/system.h"
@@ -15,7 +17,8 @@
 //        equals exactly the sum of all issued updates;
 //   (P2) ownership is a partition: after quiescing, every key is owned by
 //        exactly the node its home's location table names;
-//   (P3) synchronous read-your-writes holds on private keys;
+//   (P3) synchronous read-your-writes holds on private keys, also when
+//        they are pinned replicas whose writes are aggregated;
 //   (P4) pulls never observe values outside [0, total issued updates].
 
 namespace lapse {
@@ -346,6 +349,77 @@ TEST(ReplicaSchedulePropertyTest, AggregatedPushesConserveUnderRandomSchedules) 
     }
     ASSERT_DOUBLE_EQ(total, static_cast<double>(issued.load()))
         << "schedule " << schedule << " lost or duplicated folds";
+  }
+}
+
+// (P3) with replicas: each worker's private key is homed at the next node
+// and pinned at the worker's own node, so every push folds into the
+// node's accumulator and the 100 us copy often goes stale under the
+// pulls. Two workers per node: one worker's flush trigger drains the
+// other's folds, and its flush travels on a connection the other's pulls
+// do not share. Every pull must still return the worker's own count --
+// from the copy, or from an owner snapshot plus the pending folds, never
+// from a snapshot that misses a flushed fold.
+TEST(ReplicaReadYourWritesPropertyTest, PinnedPrivateCounterReadsOwnWrites) {
+  constexpr int kSchedules = 20;
+  constexpr int kRounds = 300;
+  for (const int server_threads : {1, 4}) {
+    for (const bool coalescing : {false, true}) {
+      for (int schedule = 0; schedule < kSchedules; ++schedule) {
+        SCOPED_TRACE("server_threads=" + std::to_string(server_threads) +
+                     " coalescing=" + std::to_string(coalescing) +
+                     " schedule=" + std::to_string(schedule));
+        Config cfg;
+        cfg.num_nodes = 3;
+        cfg.workers_per_node = 2;
+        cfg.num_keys = 12;
+        cfg.uniform_value_length = 1;
+        cfg.arch = Architecture::kLapse;
+        cfg.latency = net::LatencyConfig::Zero();
+        cfg.latency.idle_spin_ns = 0;
+        cfg.server_threads = server_threads;
+        cfg.coalescing = coalescing;
+        cfg.coalesce_delay_micros = 50;
+        cfg.replication = true;
+        cfg.replica_staleness_micros = 100;
+        cfg.replica_flush_micros = 100;
+        cfg.replica_flush_max_folds = 3;
+        cfg.seed = 9000 + static_cast<uint64_t>(schedule);
+        PsSystem system(cfg);
+        auto private_key = [&](NodeId node, int32_t slot) {
+          const NodeId next = (node + 1) % cfg.num_nodes;
+          return static_cast<Key>(system.layout().HomeBegin(next)) + slot - 1;
+        };
+        std::vector<int> pushed(cfg.total_workers(), 0);
+        std::atomic<int> missed{0};  // workers whose pull lost a push
+        system.Run([&](Worker& w) {
+          const Key mine = private_key(w.node(), w.thread_slot());
+          w.Replicate({mine});
+          Val v = -1;
+          const std::vector<Val> one = {1.0f};
+          for (int i = 1; i <= kRounds; ++i) {
+            w.Push({mine}, one.data());
+            pushed[w.worker_id()] = i;
+            if (w.rng().Bernoulli(0.1)) std::this_thread::yield();
+            w.Pull({mine}, &v);
+            if (v != static_cast<Val>(i)) {  // (P3)
+              missed.fetch_add(1);
+              return;
+            }
+          }
+        });
+        EXPECT_EQ(missed.load(), 0) << "pulls missed their worker's push";
+        // (P1): every fold reached the owner exactly once.
+        for (NodeId n = 0; n < cfg.num_nodes; ++n) {
+          for (int32_t slot = 1; slot <= cfg.workers_per_node; ++slot) {
+            Val settled = -1;
+            system.GetValue(private_key(n, slot), &settled);
+            EXPECT_EQ(settled, static_cast<Val>(
+                                   pushed[n * cfg.workers_per_node + slot - 1]));
+          }
+        }
+      }
+    }
   }
 }
 

@@ -211,19 +211,17 @@ TEST(ProtocolEdgeTest, LocalizeWaitersCoalesceOnSameNode) {
 }
 
 TEST(ProtocolEdgeTest, ImmediatePushArrivingMidRelocationIsQueuedNotDropped) {
-  // Regression: a fire-and-forget push (op_id == kImmediate, no ack owed)
-  // that reaches a key in state kArriving must queue on the arrival queue
-  // and be applied by DrainArrived -- the skip-ack handling must never
-  // skip the *apply*. The deterministic trigger: the home holds a replica
-  // of k with pending write folds and a third node localizes k. The home
-  // updates its owner view to the requester BEFORE invalidating holders,
-  // so its inline fold-forward (an immediate push) goes straight to the
-  // requester one hop ahead of the transfer (which still has to bounce
-  // through the old owner) -- it always lands inside the requester's
-  // kArriving window. Dropping it would lose the folded update.
+  // Regression: a push no op waits on (op_id == kImmediate) that reaches a
+  // key in state kArriving must queue on the arrival queue and be applied
+  // (and acked) by DrainArrived. The deterministic trigger: the home holds
+  // a replica of k with pending write folds and a third node localizes k.
+  // The home updates its owner view to the requester BEFORE invalidating
+  // holders, so its inline fold-forward (an immediate push) goes straight
+  // to the requester one hop ahead of the transfer (which still has to
+  // bounce through the old owner) -- it always lands inside the
+  // requester's kArriving window. Dropping it would lose the folded update.
   Config cfg = EdgeConfig(3, 1);
   cfg.replication = true;
-  cfg.replica_write_aggregation = true;
   cfg.replica_staleness_micros = 60'000'000;
   cfg.replica_flush_micros = 60'000'000;  // folds stay pending until
   cfg.replica_flush_max_folds = 1'000'000;  // the invalidation drains them
@@ -234,8 +232,8 @@ TEST(ProtocolEdgeTest, ImmediatePushArrivingMidRelocationIsQueuedNotDropped) {
     // Phase A: node 1 takes the key away from its home.
     if (w.node() == 1) w.Localize({k});
     w.Barrier();
-    // Phase B: the home pins a replica and folds one update into it. With
-    // aggregation on, the update exists ONLY as a pending fold here.
+    // Phase B: the home pins a replica and folds one update into it. The
+    // update exists ONLY as a pending fold here.
     if (w.node() == 0) {
       EXPECT_EQ(w.Replicate({k}), 1u);
       const std::vector<Val> upd = {1.0f, 4.0f};

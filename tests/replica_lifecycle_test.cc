@@ -32,8 +32,7 @@ ps::ReplicaManager MakeAggregating(const ps::KeyLayout* layout,
                                    uint32_t max_folds = 4,
                                    int64_t flush_micros = 50'000'000) {
   return ps::ReplicaManager(layout, /*staleness_micros=*/50'000'000,
-                            /*num_latches=*/8, /*aggregate_writes=*/true,
-                            flush_micros, max_folds);
+                            /*num_latches=*/8, flush_micros, max_folds);
 }
 
 TEST(ReplicaAggregationTest, FoldWriteAccumulatesAndDrainKeyResets) {
@@ -42,9 +41,9 @@ TEST(ReplicaAggregationTest, FoldWriteAccumulatesAndDrainKeyResets) {
   const Key k = 3;
   const std::vector<Val> upd = {1.0f, 2.0f, 3.0f, 4.0f};
 
-  // Unpinned: the caller must write through.
+  // Unpinned: the caller must send the push itself.
   EXPECT_EQ(rm.FoldWrite(k, upd.data()),
-            ps::ReplicaManager::FoldOutcome::kNotAggregated);
+            ps::ReplicaManager::FoldOutcome::kNotPinned);
 
   rm.Pin(k);
   EXPECT_EQ(rm.FoldWrite(k, upd.data()),
@@ -87,15 +86,22 @@ TEST(ReplicaAggregationTest, FoldAgeTriggersFlushDue) {
   const Key k = 2;
   const std::vector<Val> upd(4, 1.0f);
   rm.Pin(k);
+  EXPECT_FALSE(rm.FlushDue());  // nothing folded yet
   EXPECT_EQ(rm.FoldWrite(k, upd.data()),
             ps::ReplicaManager::FoldOutcome::kFolded);
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  // The node's oldest fold aged past the bound: any further fold reports
-  // the flush as due, regardless of which key it hits.
+  // The node's oldest fold aged past the bound: the flush is due before
+  // the next push folds, whichever key that push hits. The fold itself
+  // only reports the count trigger.
+  EXPECT_TRUE(rm.FlushDue());
   const Key other = 7;
   rm.Pin(other);
   EXPECT_EQ(rm.FoldWrite(other, upd.data()),
-            ps::ReplicaManager::FoldOutcome::kFoldedFlushDue);
+            ps::ReplicaManager::FoldOutcome::kFolded);
+  std::vector<Key> keys;
+  std::vector<Val> vals;
+  EXPECT_EQ(rm.DrainDirty(&keys, &vals), 2u);
+  EXPECT_FALSE(rm.FlushDue());
 }
 
 TEST(ReplicaAggregationTest, SingleKeyDrainReArmsTheAgeClock) {
@@ -111,8 +117,9 @@ TEST(ReplicaAggregationTest, SingleKeyDrainReArmsTheAgeClock) {
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
   // The set went clean with the drain, so a fresh fold after the flush
   // interval starts a NEW age window -- a stale timestamp would report
-  // the flush as due immediately and degrade aggregation to
-  // write-through after every invalidation.
+  // the flush as due and degrade aggregation to one flush per push after
+  // every invalidation.
+  EXPECT_FALSE(rm.FlushDue());
   EXPECT_EQ(rm.FoldWrite(k, upd.data()),
             ps::ReplicaManager::FoldOutcome::kFolded);
 }
@@ -125,11 +132,14 @@ TEST(ReplicaAggregationTest, DrainDirtyCoalescesAllDirtyKeysOnce) {
     rm.Pin(k);
     for (Key f = 0; f <= k; ++f) rm.FoldWrite(k, upd.data());
   }
+  std::vector<Key> keys;
+  std::vector<Val> vals;
+  EXPECT_EQ(rm.DrainDirty(&keys, &vals), 6u);
+  ASSERT_EQ(vals.size(), 4 * keys.size());
   std::vector<std::pair<Key, Val>> drained;
-  EXPECT_EQ(rm.DrainDirty([&](Key k, const Val* acc) {
-              drained.emplace_back(k, acc[0]);
-            }),
-            6u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    drained.emplace_back(keys[i], vals[4 * i]);
+  }
   std::sort(drained.begin(), drained.end());
   ASSERT_EQ(drained.size(), 6u);
   for (Key k = 0; k < 6; ++k) {
@@ -137,7 +147,10 @@ TEST(ReplicaAggregationTest, DrainDirtyCoalescesAllDirtyKeysOnce) {
     EXPECT_FLOAT_EQ(drained[k].second, static_cast<Val>(k + 1));
   }
   // Everything was delivered; a second drain is empty.
-  EXPECT_EQ(rm.DrainDirty([](Key, const Val*) { FAIL(); }), 0u);
+  keys.clear();
+  vals.clear();
+  EXPECT_EQ(rm.DrainDirty(&keys, &vals), 0u);
+  EXPECT_TRUE(keys.empty() && vals.empty());
 }
 
 TEST(ReplicaAggregationTest, InstallReappliesPendingFoldsOnTop) {
@@ -203,16 +216,24 @@ TEST(ReplicaAggregationTest, ConcurrentFoldsAndDrainsConserveEveryFold) {
         const Key k = static_cast<Key>((w + i) % 4);
         folded.fetch_add(1, std::memory_order_release);
         ASSERT_NE(rm.FoldWrite(k, one.data()),
-                  ps::ReplicaManager::FoldOutcome::kNotAggregated);
+                  ps::ReplicaManager::FoldOutcome::kNotPinned);
       }
     });
   }
 
   double drained_total = 0;
   double prev_total = 0;
+  std::vector<Key> keys;
+  std::vector<Val> vals;
+  auto drain = [&] {
+    keys.clear();
+    vals.clear();
+    rm.DrainDirty(&keys, &vals);
+    for (size_t i = 0; i < vals.size(); i += 4) drained_total += vals[i];
+  };
   std::thread drainer([&] {
     while (!done.load(std::memory_order_acquire)) {
-      rm.DrainDirty([&](Key, const Val* acc) { drained_total += acc[0]; });
+      drain();
       // Monotone, and never more than the writers have acked: a drained
       // fold must exist in the writer history before it can be drained.
       ASSERT_GE(drained_total, prev_total);
@@ -228,7 +249,7 @@ TEST(ReplicaAggregationTest, ConcurrentFoldsAndDrainsConserveEveryFold) {
   drainer.join();
   // Final sweep: whatever the last round missed is still in the
   // accumulators -- nothing vanished, nothing was double-delivered.
-  rm.DrainDirty([&](Key, const Val* acc) { drained_total += acc[0]; });
+  drain();
   EXPECT_DOUBLE_EQ(drained_total,
                    static_cast<double>(kWriters) * kFoldsPerWriter);
   EXPECT_EQ(rm.stats().folds, int64_t{kWriters} * kFoldsPerWriter);
@@ -443,7 +464,7 @@ TEST(ReplicaUnpinPathTest, PolicyUnpinsWriteHeavyKeyEndToEnd) {
       w.Push({k}, one.data());
       pushes.fetch_add(1);
     }
-    // Unpinned: pushes keep flowing (now write-through to the owner).
+    // Unpinned: pushes keep flowing (now sent to the owner directly).
     for (int i = 0; i < 10; ++i) {
       w.Push({k}, one.data());
       pushes.fetch_add(1);
@@ -456,7 +477,7 @@ TEST(ReplicaUnpinPathTest, PolicyUnpinsWriteHeavyKeyEndToEnd) {
   }
   EXPECT_EQ(unpinned, 1);
   EXPECT_EQ(system.replica_manager(0)->stats().unpins, 1);
-  // Conservation across pin -> aggregate -> unpin -> write-through.
+  // Conservation across pin -> aggregate -> unpin -> direct pushes.
   std::vector<Val> final(4);
   system.GetValue(k, final.data());
   EXPECT_EQ(static_cast<int64_t>(final[0]), pushes.load());

@@ -11,10 +11,11 @@
 #include "util/timer.h"
 
 // Replica-serving reads for contended read-mostly keys: ReplicaManager
-// semantics (pin/read/install/accumulate/invalidate), the end-to-end
-// replica path through Worker/Server (pull-through refresh, write-through
-// pushes, invalidation on ownership moves), and a churn stress test that
-// interleaves replicated pulls, pushes, relocation, and eviction.
+// semantics (pin/read/install/flush epoch/invalidate), the end-to-end
+// replica path through Worker/Server (pull-through refresh, pushes to
+// pinned keys, read-your-writes, invalidation on ownership moves), and a
+// churn stress test that interleaves replicated pulls, pushes, relocation,
+// and eviction.
 
 namespace lapse {
 namespace {
@@ -61,7 +62,7 @@ TEST(ReplicaManagerTest, PinInstallReadInvalidateCycle) {
   EXPECT_TRUE(rm.TryRead(k, buf.data()));
 
   // Unpin drops pin and copy; installs for unpinned keys are ignored.
-  rm.Unpin(k);
+  EXPECT_FALSE(rm.Unpin(k, buf.data()));  // no folds to hand back
   EXPECT_FALSE(rm.IsPinned(k));
   EXPECT_FALSE(rm.TryRead(k, buf.data()));
   rm.Install(k, v.data());
@@ -82,63 +83,64 @@ TEST(ReplicaManagerTest, CopyOlderThanStalenessBoundIsNotServed) {
   EXPECT_GT(rm.stats().stale_misses, 0);
 }
 
-TEST(ReplicaManagerTest, AccumulateFoldsIntoPresentCopyOnly) {
+// The read-your-writes guarantee of the class doc: once a drain took
+// folds out of the accumulator, no owner snapshot that may lack them is
+// installed or returned.
+TEST(ReplicaManagerTest, FlushEpochDropsSnapshotsThatMayLackFlushedFolds) {
   const ps::KeyLayout layout = TestLayout();
   ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000,
-                        /*num_latches=*/8);
-  const Key k = 2;
-  const std::vector<Val> upd(4, 0.5f);
-  rm.Pin(k);
-  // No copy yet: accumulate folds nothing (the update reaches the owner
-  // via write-through; the next install brings it back) but still opens a
-  // write epoch, so refreshes that predate the push cannot install.
-  rm.Accumulate(k, upd.data());
-  std::vector<Val> buf(4);
-  EXPECT_FALSE(rm.TryRead(k, buf.data()));
-  rm.NoteWriteAcked(k);  // the owner applied the push
-
-  const std::vector<Val> v = {1.0f, 1.0f, 1.0f, 1.0f};
-  rm.Install(k, v.data(), /*issue_ns=*/NowNanos());
-  rm.Accumulate(k, upd.data());
-  ASSERT_TRUE(rm.TryRead(k, buf.data()));
-  for (const Val x : buf) EXPECT_FLOAT_EQ(x, 1.5f);
-}
-
-// The write-through read-your-writes guarantee of the class doc: a
-// snapshot requested before this node's latest write settled never
-// overwrites the locally folded value.
-TEST(ReplicaManagerTest, WriteThroughReadYourWritesDropsStaleInstalls) {
-  const ps::KeyLayout layout = TestLayout();
-  ps::ReplicaManager rm(&layout, /*staleness_micros=*/100'000,
-                        /*num_latches=*/8);
+                        /*num_latches=*/8, /*flush_micros=*/100'000,
+                        /*flush_max_folds=*/100);
   const Key k = 3;
   const std::vector<Val> pre(4, 1.0f), upd(4, 0.5f);
-  std::vector<Val> buf(4);
+  std::vector<Val> buf(4), out(4, -1.0f), acc(4);
   rm.Pin(k);
+  rm.FoldWrite(k, upd.data());
 
-  // Write in flight (unacked): any snapshot install is refused, whatever
-  // its issue time -- it cannot be proven to include the write.
-  rm.Accumulate(k, upd.data());
-  rm.Install(k, pre.data(), /*issue_ns=*/NowNanos());
+  // Flush in flight (unacked): every snapshot is refused, whatever its
+  // issue time -- it cannot be proven to include the flushed fold.
+  ASSERT_TRUE(rm.DrainKey(k, acc.data()));
+  EXPECT_TRUE(rm.FlushInFlight(k));
+  EXPECT_FALSE(rm.Install(k, pre.data(), NowNanos(), out.data()));
+  EXPECT_FALSE(rm.TryRead(k, buf.data()));
+  EXPECT_FLOAT_EQ(out[0], -1.0f);  // nothing returned either
+
+  // Acked: snapshots requested before the settle point are still refused.
+  rm.NoteWriteAcked(k);
+  EXPECT_FALSE(rm.FlushInFlight(k));
+  EXPECT_FALSE(rm.Install(k, pre.data(), /*issue_ns=*/0, out.data()));
   EXPECT_FALSE(rm.TryRead(k, buf.data()));
 
-  // Acked: snapshots issued before the settle point are still dropped...
+  // One requested after the settle point installs, and is the answer.
+  ASSERT_TRUE(rm.Install(k, pre.data(), NowNanos(), out.data()));
+  ASSERT_TRUE(rm.TryRead(k, buf.data()));
+  EXPECT_FLOAT_EQ(buf[0], 1.0f);
+  EXPECT_FLOAT_EQ(out[0], 1.0f);
+
+  // Two flushes in flight: the epoch closes with the second ack only.
+  rm.FoldWrite(k, upd.data());
+  ASSERT_TRUE(rm.DrainKey(k, acc.data()));
+  rm.FoldWrite(k, upd.data());
+  ASSERT_TRUE(rm.DrainKey(k, acc.data()));
   rm.NoteWriteAcked(k);
-  rm.Install(k, pre.data(), /*issue_ns=*/0);
+  EXPECT_TRUE(rm.FlushInFlight(k));
+  EXPECT_FALSE(rm.Install(k, pre.data(), NowNanos()));
+  rm.NoteWriteAcked(k);
+  EXPECT_FALSE(rm.FlushInFlight(k));
+  EXPECT_TRUE(rm.Install(k, pre.data(), NowNanos()));
+
+  // An unpin's hand-back opens the epoch too, and the epoch outlives the
+  // pin: pinned again before the ack, the key still refuses snapshots,
+  // and so does an unpinned key's pull answer.
+  rm.FoldWrite(k, upd.data());
+  ASSERT_TRUE(rm.Unpin(k, acc.data()));
+  EXPECT_FALSE(rm.Install(k, pre.data(), NowNanos(), out.data()));
+  rm.Pin(k);
+  EXPECT_FALSE(rm.Install(k, pre.data(), NowNanos()));
   EXPECT_FALSE(rm.TryRead(k, buf.data()));
-
-  // ...but one issued after the settle point installs cleanly.
-  rm.Install(k, pre.data(), /*issue_ns=*/NowNanos());
-  ASSERT_TRUE(rm.TryRead(k, buf.data()));
-  EXPECT_FLOAT_EQ(buf[0], 1.0f);
-
-  // A fresh copy + a settled write: later installs keep working (the
-  // epoch does not wedge the key).
-  rm.Accumulate(k, upd.data());
   rm.NoteWriteAcked(k);
-  rm.Install(k, pre.data(), /*issue_ns=*/NowNanos());
-  ASSERT_TRUE(rm.TryRead(k, buf.data()));
-  EXPECT_FLOAT_EQ(buf[0], 1.0f);
+  EXPECT_TRUE(rm.Install(k, pre.data(), NowNanos()));
+  EXPECT_TRUE(rm.TryRead(k, buf.data()));
 }
 
 // --------------------------------------------------- end-to-end path ----
@@ -190,7 +192,7 @@ TEST(ReplicaPathTest, ReplicatedRemoteKeyIsServedLocallyAfterPullThrough) {
   EXPECT_EQ(system.OwnerOf(k), 1);  // replication never moved the key
 }
 
-TEST(ReplicaPathTest, WriteThroughKeepsOwnWritesVisibleAndReachesOwner) {
+TEST(ReplicaPathTest, PushToPinnedKeyIsVisibleAtOnceAndReachesOwner) {
   ps::Config cfg = ReplicationConfig2Nodes();
   ps::PsSystem system(cfg);
   const Key k = 40;
@@ -209,25 +211,23 @@ TEST(ReplicaPathTest, WriteThroughKeepsOwnWritesVisibleAndReachesOwner) {
     EXPECT_FLOAT_EQ(buf[0], 1.0f);
   });
 
-  // Write-through delivered the authoritative update to the owner.
+  // The teardown flush delivered the folded update to the owner.
   std::vector<Val> final(4);
   system.GetValue(k, final.data());
   EXPECT_FLOAT_EQ(final[0], 1.0f);
   EXPECT_FLOAT_EQ(final[3], 1.0f);
 }
 
-// Regression for the read-your-writes hole in write-through mode
-// (aggregation off): a pull-through refresh in flight while a push goes
-// out must not install its pre-push snapshot over the write. Before the
-// per-key write epoch, the refresh response (requested before the push
-// settled) would install and later replica reads served the key WITHOUT
-// this node's own write.
-TEST(ReplicaPathTest, WriteThroughReadYourWritesSurvivesInFlightRefresh) {
+// A pull-through refresh in flight while the node flushes its own write
+// must not install (or return) its pre-flush snapshot: the flush drained
+// the fold from the accumulator, so the snapshot plus the pending folds
+// would lack it. Without the flush epoch, the refresh installed and later
+// replica reads served the key without this node's own write.
+TEST(ReplicaPathTest, ReadYourWritesSurvivesInFlightRefresh) {
   ps::Config cfg = ReplicationConfig2Nodes();
-  cfg.replica_write_aggregation = false;  // plain write-through
   // A real wire delay makes the interleaving deterministic: the pull's
   // response cannot arrive back before the worker issues the racing push
-  // a few instructions later.
+  // and flush a few instructions later.
   cfg.latency.remote_base_ns = 2'000'000;
   ps::PsSystem system(cfg);
   const Key k = 40;  // homed (and owned) at node 1
@@ -238,11 +238,12 @@ TEST(ReplicaPathTest, WriteThroughReadYourWritesSurvivesInFlightRefresh) {
     std::vector<Val> buf(4, -1.0f);
     // Refresh in flight (the copy is absent, so this pull goes remote)...
     const uint64_t pull_op = w.PullAsync({k}, buf.data());
-    // ...and a write-through push races it. The pull's snapshot predates
-    // the push; the push ack trails the pull response on the same
-    // owner-to-replica connection.
+    // ...and a push folds and is flushed while it races. The pull's
+    // snapshot predates the flush; the flush ack trails the pull response
+    // on the same owner-to-replica connection.
     const std::vector<Val> upd(4, 1.0f);
     const uint64_t push_op = w.PushAsync({k}, upd.data());
+    w.FlushReplicas();
     w.Wait(pull_op);
     w.Wait(push_op);
     // Every read after the push completes must observe the write, whether
@@ -251,6 +252,40 @@ TEST(ReplicaPathTest, WriteThroughReadYourWritesSurvivesInFlightRefresh) {
     w.Pull({k}, after.data());
     EXPECT_FLOAT_EQ(after[0], 1.0f);
     EXPECT_FLOAT_EQ(after[3], 1.0f);
+  });
+
+  std::vector<Val> final(4);
+  system.GetValue(k, final.data());
+  EXPECT_FLOAT_EQ(final[0], 1.0f);
+}
+
+// A pull of a pinned key that misses the stale copy returns the owner's
+// snapshot plus this node's pending folds: the node's own completed push
+// is in the answer before any flush carried it to the owner.
+TEST(ReplicaPathTest, PinnedPullMissIncludesPendingFolds) {
+  ps::Config cfg = ReplicationConfig2Nodes();
+  cfg.replica_staleness_micros = 1'000;
+  // The fold stays pending: no trigger fires before the teardown flush.
+  cfg.replica_flush_micros = 1'000;
+  cfg.replica_flush_max_folds = 1'000;
+  ps::PsSystem system(cfg);
+  const Key k = 40;  // homed (and owned) at node 1
+
+  system.Run([&](ps::Worker& w) {
+    if (w.node() != 0) return;
+    w.Replicate({k});
+    std::vector<Val> buf(4, -1.0f);
+    w.Pull({k}, buf.data());  // install the copy
+    const std::vector<Val> upd(4, 1.0f);
+    w.Push({k}, upd.data());
+    ASSERT_EQ(system.replica_manager(0)->PendingFolds(k), 1u);
+    // Let the copy go stale, so the next pull goes to the owner.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const int64_t remote_before = system.TotalRemoteReads();
+    w.Pull({k}, buf.data());
+    EXPECT_EQ(system.TotalRemoteReads(), remote_before + 1);
+    EXPECT_FLOAT_EQ(buf[0], 1.0f);
+    EXPECT_FLOAT_EQ(buf[3], 1.0f);
   });
 
   std::vector<Val> final(4);
@@ -312,7 +347,7 @@ TEST(ReplicaPathTest, PullIfLocalCountsFreshReplicaAsLocal) {
 
 // -------------------------------------------------- churn stress (tsan) --
 
-// Interleaves replica-served pulls, write-through pushes, relocation of
+// Interleaves replica-served pulls, pushes to the pinned key, relocation of
 // the replicated key, and eviction, asserting the staleness contract the
 // whole time: a replica-served read returns a value the then-current
 // owner held at most staleness + one fetch round-trip ago. Ownership
@@ -360,8 +395,8 @@ TEST(ReplicaChurnStressTest, StalenessHoldsAcrossRelocationAndEviction) {
     const std::vector<Val> zero(4, 0.0f);
     Timer t;
     if (w.node() == 0) {
-      // Reader: replica-served pulls + occasional write-through pushes
-      // of zero (exercises Accumulate without perturbing the counter).
+      // Reader: replica-served pulls + occasional pushes of zero (folds
+      // and flushes, without perturbing the counter).
       w.Replicate({k});
       int64_t reads = 0;
       // Extend past the nominal run until at least one replica-served
