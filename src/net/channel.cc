@@ -1,123 +1,286 @@
 #include "net/channel.h"
 
+#include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "util/timer.h"
 
 namespace lapse {
 namespace net {
 
-void Inbox::Put(Message msg) {
-  size_t depth;
-  {
-    MutexLock lock(mu_);
-    queue_.push(Entry{msg.deliver_ns, next_seq_++, std::move(msg)});
-    depth = queue_.size();
-    approx_size_.store(depth, std::memory_order_release);
-    put_count_.fetch_add(1, std::memory_order_release);
+namespace {
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
+
+Lane::~Lane() {
+  Block* b = head_block_ != nullptr
+                 ? head_block_
+                 : first_.load(std::memory_order_acquire);
+  while (b != nullptr) {
+    Block* next = b->next.load(std::memory_order_acquire);
+    delete b;
+    b = next;
   }
-  cv_.NotifyOne();
-  // Outside the lock; one relaxed load + branch when the hook is unset.
-  if (obs::Histogram* h = depth_hist_.load(std::memory_order_acquire)) {
-    h->Add(static_cast<int64_t>(depth));
+  delete spare_.load(std::memory_order_acquire);
+}
+
+void Lane::Push(Message msg) {
+  if (tail_pos_ == kBlockSlots) {
+    Block* b = spare_.load(std::memory_order_acquire);
+    if (b != nullptr) {
+      spare_.store(nullptr, std::memory_order_relaxed);
+    } else {
+      b = new Block;
+    }
+    // Published to the consumer by the tail_ store below.
+    (tail_block_ != nullptr ? tail_block_->next : first_)
+        .store(b, std::memory_order_relaxed);
+    tail_block_ = b;
+    tail_pos_ = 0;
+  }
+  last_deliver_ns_ = msg.deliver_ns;
+  tail_block_->slots[tail_pos_++] = std::move(msg);
+  tail_.store(tail_.load(std::memory_order_relaxed) + 1,
+              std::memory_order_release);
+}
+
+Message& Lane::Front() {
+  if (head_pos_ == kBlockSlots) {
+    // The producer linked the next block before publishing its first
+    // message, which Refresh saw.
+    Block* done = head_block_;
+    head_block_ = (done != nullptr ? done->next : first_)
+                      .load(std::memory_order_relaxed);
+    head_pos_ = 0;
+    if (done != nullptr) {
+      // Every slot of `done` has been moved from; hand it back.
+      done->next.store(nullptr, std::memory_order_relaxed);
+      if (spare_.load(std::memory_order_relaxed) == nullptr) {
+        spare_.store(done, std::memory_order_release);
+      } else {
+        delete done;
+      }
+    }
+  }
+  return head_block_->slots[head_pos_];
+}
+
+Inbox::~Inbox() {
+  Lane* lane = lane_list_.load(std::memory_order_acquire);
+  while (lane != nullptr) {
+    Lane* next = lane->next_lane_;
+    delete lane;
+    lane = next;
   }
 }
 
-bool Inbox::WaitDeliverable() {
+Lane* Inbox::AddLane() {
+  Lane* lane = new Lane;
+  Lane* head = lane_list_.load(std::memory_order_relaxed);
+  do {
+    lane->next_lane_ = head;
+  } while (!lane_list_.compare_exchange_weak(head, lane,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed));
+  return lane;
+}
+
+void Inbox::Put(Lane& lane, Message msg) {
+  lane.Push(std::move(msg));
+  // Pairs with the fence in Park: either this load sees parked_, or the
+  // drain thread's check after parking sees the push.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_relaxed)) Wake();
+}
+
+void Inbox::Put(Message msg) {
+  Lane* lane = nullptr;
+  for (Lane* l : direct_lanes_) {
+    if (l->last_deliver_ns() <= msg.deliver_ns) {
+      lane = l;
+      break;
+    }
+  }
+  if (lane == nullptr) {
+    lane = AddLane();
+    direct_lanes_.push_back(lane);
+  }
+  Put(*lane, std::move(msg));
+}
+
+int64_t Inbox::PutCount() const {
+  int64_t total = 0;
+  for (const Lane* l = lane_list_.load(std::memory_order_acquire);
+       l != nullptr; l = l->next_lane_) {
+    total += l->PutCount();
+  }
+  return total;
+}
+
+int64_t Inbox::Scan() {
+  Lane* head = lane_list_.load(std::memory_order_acquire);
+  for (Lane* l = head; l != lanes_seen_; l = l->next_lane_) {
+    lanes_.push_back(l);
+  }
+  lanes_seen_ = head;
+  ready_.clear();
+  pending_ = 0;
+  int64_t earliest = kNever;
+  for (Lane* l : lanes_) {
+    if (!l->Refresh()) continue;
+    ready_.push_back(l);
+    pending_ += l->seen_tail_ - l->head_;
+    earliest = std::min(earliest, l->Front().deliver_ns);
+  }
+  return earliest;
+}
+
+bool Inbox::Arrived() const {
+  if (lane_list_.load(std::memory_order_relaxed) != lanes_seen_) return true;
+  for (const Lane* l : lanes_) {
+    if (l->Grew()) return true;
+  }
+  return false;
+}
+
+int Inbox::NextDue(int64_t due) const {
+  int best = -1;
+  int64_t best_ns = kNever;
+  for (size_t i = 0; i < ready_.size(); ++i) {
+    const int64_t d = ready_[i]->Front().deliver_ns;
+    if (d <= due && (best < 0 || d < best_ns)) {
+      best = static_cast<int>(i);
+      best_ns = d;
+    }
+  }
+  return best;
+}
+
+void Inbox::PopAt(int i) {
+  Lane* l = ready_[i];
+  l->Pop();
+  --pending_;
+  if (l->Empty()) {
+    ready_[i] = ready_.back();
+    ready_.pop_back();
+  }
+}
+
+bool Inbox::WaitDeliverable(int64_t* due) {
   // OS timer wakeups are ~50us-grained, far coarser than the simulated
   // latencies (2-30us). To keep the latency model honest we sleep only for
   // the bulk of long waits and spin for the final stretch.
   constexpr int64_t kSpinWindowNs = 120'000;
+  int64_t idle_until = -1;
   for (;;) {
-    if (!queue_.empty()) {
-      const int64_t deliver = queue_.top().deliver_ns;
+    // Read before the scan: every message put before Shutdown is seen.
+    const bool shutdown = shutdown_.load(std::memory_order_acquire);
+    const int64_t earliest = Scan();
+    if (shutdown) {
+      // Drain promptly; no need to honor latency.
+      *due = kNever;
+      return !ready_.empty();
+    }
+    if (!ready_.empty()) {
       const int64_t now = NowNanos();
-      // (On shutdown we drain promptly; no need to honor latency.)
-      if (deliver <= now || shutdown_) return true;
-      if (deliver - now > kSpinWindowNs) {
-        cv_.WaitFor(mu_,
-                    std::chrono::nanoseconds(deliver - now - kSpinWindowNs));
-        continue;
+      if (earliest <= now) {
+        *due = now;
+        return true;
       }
-      // Spin without the lock so senders can still enqueue (possibly with
-      // an earlier delivery time; the re-check handles that).
-      mu_.unlock();
-      while (NowNanos() < deliver) {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#endif
+      idle_until = -1;
+      if (earliest - now > kSpinWindowNs) {
+        Park(earliest - kSpinWindowNs);
+      } else {
+        // Look again as soon as anything arrives: it may be due earlier.
+        while (!Arrived() && NowNanos() < earliest) CpuRelax();
       }
-      mu_.lock();
       continue;
     }
-    if (shutdown_) return false;
-    // Idle: spin-poll briefly before sleeping. A condition-variable wakeup
+    // Idle: spin-poll briefly before parking. A condition-variable wakeup
     // costs ~50-200us -- more than the whole simulated relocation protocol
     // -- so a short spin keeps multi-hop protocols at realistic speed.
-    mu_.unlock();
-    const int64_t spin_until = NowNanos() + idle_spin_ns_;
-    while (approx_size_.load(std::memory_order_acquire) == 0 &&
-           !shutdown_flag_.load(std::memory_order_acquire) &&
-           NowNanos() < spin_until) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
+    if (idle_until < 0) idle_until = NowNanos() + idle_spin_ns_;
+    while (!Arrived() && !shutdown_.load(std::memory_order_relaxed) &&
+           NowNanos() < idle_until) {
+      CpuRelax();
     }
-    mu_.lock();
-    if (queue_.empty() && !shutdown_) cv_.Wait(mu_);
+    if (NowNanos() >= idle_until) Park(kNever);
   }
 }
 
-void Inbox::PopLocked(Message* out) {
-  // const_cast: priority_queue::top() is const but we are about to pop;
-  // moving the payload out avoids a deep copy of the vectors.
-  *out = std::move(const_cast<Entry&>(queue_.top()).msg);
-  queue_.pop();
+void Inbox::Park(int64_t deadline_ns) {
+  parked_.store(true, std::memory_order_relaxed);
+  // Pairs with the fence in Put(Lane&, Message).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (Arrived() || shutdown_.load(std::memory_order_acquire)) {
+    parked_.store(false, std::memory_order_relaxed);
+    return;
+  }
+  MutexLock lock(park_mu_);
+  while (parked_.load(std::memory_order_relaxed)) {
+    if (deadline_ns == kNever) {
+      park_cv_.Wait(park_mu_);
+    } else if (park_cv_.WaitUntil(
+                   park_mu_, std::chrono::steady_clock::time_point(
+                                 std::chrono::nanoseconds(deadline_ns)))) {
+      break;
+    }
+  }
+  parked_.store(false, std::memory_order_relaxed);
+}
+
+void Inbox::Wake() {
+  MutexLock lock(park_mu_);
+  parked_.store(false, std::memory_order_relaxed);
+  park_cv_.NotifyOne();
 }
 
 bool Inbox::Take(Message* out) {
-  MutexLock lock(mu_);
-  if (!WaitDeliverable()) return false;
-  PopLocked(out);
-  approx_size_.store(queue_.size(), std::memory_order_release);
+  int64_t due;
+  if (!WaitDeliverable(&due)) return false;
+  const int i = NextDue(due);
+  *out = std::move(ready_[i]->Front());
+  if (obs::Histogram* h = depth_hist_.load(std::memory_order_acquire)) {
+    h->Add(pending_);
+  }
+  PopAt(i);
   return true;
 }
 
 bool Inbox::TakeBatch(std::vector<Message>* out) {
-  MutexLock lock(mu_);
-  if (!WaitDeliverable()) return false;
-  const int64_t now = NowNanos();
-  do {
-    out->emplace_back();
-    PopLocked(&out->back());
-  } while (!queue_.empty() &&
-           (queue_.top().deliver_ns <= now || shutdown_));
-  approx_size_.store(queue_.size(), std::memory_order_release);
+  int64_t due;
+  if (!WaitDeliverable(&due)) return false;
+  obs::Histogram* h = depth_hist_.load(std::memory_order_acquire);
+  for (int i = NextDue(due); i >= 0; i = NextDue(due)) {
+    out->push_back(std::move(ready_[i]->Front()));
+    if (h != nullptr) h->Add(pending_);
+    PopAt(i);
+  }
   return true;
 }
 
 bool Inbox::TryTake(Message* out) {
-  MutexLock lock(mu_);
-  if (queue_.empty()) return false;
-  if (queue_.top().deliver_ns > NowNanos() && !shutdown_) return false;
-  *out = std::move(const_cast<Entry&>(queue_.top()).msg);
-  queue_.pop();
-  approx_size_.store(queue_.size(), std::memory_order_release);
+  const bool shutdown = shutdown_.load(std::memory_order_acquire);
+  if (Scan() == kNever) return false;
+  const int i = NextDue(shutdown ? kNever : NowNanos());
+  if (i < 0) return false;
+  *out = std::move(ready_[i]->Front());
+  PopAt(i);
   return true;
 }
 
 void Inbox::Shutdown() {
-  {
-    MutexLock lock(mu_);
-    shutdown_ = true;
-    shutdown_flag_.store(true, std::memory_order_release);
-  }
-  cv_.NotifyAll();
-}
-
-size_t Inbox::ApproxSize() const {
-  MutexLock lock(mu_);
-  return queue_.size();
+  shutdown_.store(true, std::memory_order_release);
+  MutexLock lock(park_mu_);
+  parked_.store(false, std::memory_order_relaxed);
+  park_cv_.NotifyAll();
 }
 
 }  // namespace net

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "util/logging.h"
@@ -9,61 +10,103 @@
 namespace lapse {
 namespace net {
 
-NetStats::NetStats() { Reset(); }
-
-void NetStats::Record(const Message& msg) {
+void SenderCounters::Record(const Message& msg) {
   const size_t t = static_cast<size_t>(msg.type);
-  const int64_t bytes = static_cast<int64_t>(msg.WireBytes());
-  msgs_[t].fetch_add(1, std::memory_order_relaxed);
-  bytes_[t].fetch_add(bytes, std::memory_order_relaxed);
-  total_msgs_.fetch_add(1, std::memory_order_relaxed);
-  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (msg.src_node == msg.dst_node) {
-    local_msgs_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    remote_msgs_.fetch_add(1, std::memory_order_relaxed);
+  std::atomic<int64_t>& n = msgs_[msg.src_node != msg.dst_node][t];
+  std::atomic<int64_t>& b = bytes_[t];
+  // Single writer: a plain add, published by a relaxed store.
+  n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  b.store(b.load(std::memory_order_relaxed) +
+              static_cast<int64_t>(msg.WireBytes()),
+          std::memory_order_relaxed);
+}
+
+namespace {
+
+template <size_t N>
+int64_t SumOf(const int64_t (&counts)[N]) {
+  return std::accumulate(counts, counts + N, int64_t{0});
+}
+
+}  // namespace
+
+SenderCounters* NetStats::AddSender() {
+  MutexLock lock(mu_);
+  return &senders_.emplace_back();
+}
+
+NetStats::Totals NetStats::SumLocked() const {
+  Totals sum;
+  for (const SenderCounters& c : senders_) {
+    for (size_t t = 0; t < kNumTypes; ++t) {
+      for (int r = 0; r < 2; ++r) {
+        sum.msgs[r][t] += c.msgs_[r][t].load(std::memory_order_relaxed);
+      }
+      sum.bytes[t] += c.bytes_[t].load(std::memory_order_relaxed);
+    }
   }
+  return sum;
+}
+
+NetStats::Totals NetStats::Sum() const {
+  MutexLock lock(mu_);
+  Totals sum = SumLocked();
+  for (size_t t = 0; t < kNumTypes; ++t) {
+    for (int r = 0; r < 2; ++r) sum.msgs[r][t] -= baseline_.msgs[r][t];
+    sum.bytes[t] -= baseline_.bytes[t];
+  }
+  return sum;
 }
 
 void NetStats::Reset() {
-  for (auto& m : msgs_) m.store(0, std::memory_order_relaxed);
-  for (auto& b : bytes_) b.store(0, std::memory_order_relaxed);
-  total_msgs_.store(0);
-  total_bytes_.store(0);
-  remote_msgs_.store(0);
-  local_msgs_.store(0);
+  MutexLock lock(mu_);
+  baseline_ = SumLocked();
 }
 
 int64_t NetStats::MessagesOfType(MsgType type) const {
-  return msgs_[static_cast<size_t>(type)].load(std::memory_order_relaxed);
+  const Totals s = Sum();
+  const size_t t = static_cast<size_t>(type);
+  return s.msgs[0][t] + s.msgs[1][t];
 }
 
 int64_t NetStats::BytesOfType(MsgType type) const {
-  return bytes_[static_cast<size_t>(type)].load(std::memory_order_relaxed);
+  return Sum().bytes[static_cast<size_t>(type)];
 }
 
+int64_t NetStats::total_messages() const {
+  const Totals s = Sum();
+  return SumOf(s.msgs[0]) + SumOf(s.msgs[1]);
+}
+
+int64_t NetStats::total_bytes() const { return SumOf(Sum().bytes); }
+
+int64_t NetStats::remote_messages() const { return SumOf(Sum().msgs[1]); }
+
+int64_t NetStats::local_messages() const { return SumOf(Sum().msgs[0]); }
+
 std::string NetStats::ToString() const {
+  const Totals s = Sum();
+  const int64_t local = SumOf(s.msgs[0]), remote = SumOf(s.msgs[1]);
   std::ostringstream os;
-  os << "messages=" << total_messages() << " bytes=" << total_bytes()
-     << " remote=" << remote_messages() << " local=" << local_messages();
+  os << "messages=" << local + remote << " bytes=" << SumOf(s.bytes)
+     << " remote=" << remote << " local=" << local;
   for (size_t t = 0; t < kNumTypes; ++t) {
-    const int64_t n = msgs_[t].load(std::memory_order_relaxed);
+    const int64_t n = s.msgs[0][t] + s.msgs[1][t];
     if (n == 0) continue;
     os << "\n  " << MsgTypeName(static_cast<MsgType>(t)) << ": " << n
-       << " msgs, " << bytes_[t].load(std::memory_order_relaxed) << " bytes";
+       << " msgs, " << s.bytes[t] << " bytes";
   }
   return os.str();
 }
 
-Endpoint::Endpoint(Network* network, NodeId node, int32_t thread,
-                   uint64_t seed)
+Endpoint::Endpoint(Network* network, SenderSlot* slot, uint64_t seed)
     : network_(network),
-      node_(node),
-      thread_(thread),
-      latency_(network->latency_config(), seed),
-      last_deliver_ns_(static_cast<size_t>(network->num_nodes()) *
-                           network->shards_per_node(),
-                       0) {}
+      slot_(slot),
+      node_(slot->node),
+      thread_(slot->thread),
+      latency_(network->latency_config(), seed) {}
+
+Endpoint::~Endpoint() { network_->ReleaseSlot(slot_); }
 
 void Endpoint::Send(Message msg) {
   LAPSE_CHECK_GE(msg.dst_node, 0);
@@ -100,16 +143,12 @@ void Endpoint::Send(Message msg) {
         network_->ReserveService(msg.dst_node, shard, deliver, serve_ns);
   }
   // Per-connection FIFO: never deliver before an earlier message on this
-  // (endpoint -> node, shard) connection.
-  const size_t link = static_cast<size_t>(msg.dst_node) *
-                          network_->shards_per_node() +
-                      shard;
-  int64_t& last = last_deliver_ns_[link];
-  deliver = std::max(deliver, last);
-  last = deliver;
-  msg.deliver_ns = deliver;
-  network_->stats_.Record(msg);
-  network_->inboxes_[link]->Put(std::move(msg));
+  // (endpoint -> node, shard) connection, i.e. this lane.
+  const size_t link = network_->InboxIndex(msg.dst_node, shard);
+  Lane& lane = *slot_->lanes[link];
+  msg.deliver_ns = std::max(deliver, lane.last_deliver_ns());
+  slot_->counters->Record(msg);
+  network_->inboxes_[link]->Put(lane, std::move(msg));
 }
 
 Network::Network(int num_nodes, const LatencyConfig& latency, uint64_t seed,
@@ -182,7 +221,32 @@ std::unique_ptr<Endpoint> Network::CreateEndpoint(NodeId node,
   const uint64_t seed =
       Mix64(seed_ ^ (static_cast<uint64_t>(node) << 32) ^
             static_cast<uint64_t>(thread + 1));
-  return std::make_unique<Endpoint>(this, node, thread, seed);
+  return std::make_unique<Endpoint>(this, AcquireSlot(node, thread), seed);
+}
+
+SenderSlot* Network::AcquireSlot(NodeId node, int32_t thread) {
+  MutexLock lock(slots_mu_);
+  SenderSlot* slot = nullptr;
+  for (const auto& s : slots_) {
+    if (s->node == node && s->thread == thread) slot = s.get();
+  }
+  if (slot == nullptr) {
+    slots_.push_back(std::make_unique<SenderSlot>());
+    slot = slots_.back().get();
+    slot->node = node;
+    slot->thread = thread;
+    for (auto& inbox : inboxes_) slot->lanes.push_back(inbox->AddLane());
+    slot->counters = stats_.AddSender();
+  }
+  LAPSE_CHECK(!slot->live) << "two live endpoints on thread slot (node "
+                           << node << ", thread " << thread << ")";
+  slot->live = true;
+  return slot;
+}
+
+void Network::ReleaseSlot(SenderSlot* slot) {
+  MutexLock lock(slots_mu_);
+  slot->live = false;
 }
 
 bool Network::Recv(NodeId node, int shard, Message* out) {

@@ -1,60 +1,111 @@
 #ifndef LAPSE_NET_NETWORK_H_
 #define LAPSE_NET_NETWORK_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/channel.h"
 #include "net/latency_model.h"
 #include "net/message.h"
+#include "util/sync.h"
+#include "util/thread_annotations.h"
 
 namespace lapse {
 namespace net {
 
+// Message counters of one sending thread slot, by type and locality.
+// Only the thread holding the slot writes them, with a plain load and store
+// (no lock-prefixed instruction); any thread may read them. Each slot's
+// counters sit on cache lines of their own, so senders never share a
+// counter line.
+class alignas(64) SenderCounters {
+ public:
+  void Record(const Message& msg);
+
+ private:
+  friend class NetStats;
+  static constexpr size_t kNumTypes = static_cast<size_t>(MsgType::kNumTypes);
+  std::atomic<int64_t> msgs_[2][kNumTypes] = {};  // [remote][type]
+  std::atomic<int64_t> bytes_[kNumTypes] = {};
+};
+
 // Aggregate message statistics, by type and by locality (loop-back vs
-// cross-node). All counters are relaxed atomics; snapshots are approximate
-// under concurrency, exact once the system has quiesced.
+// cross-node): the sum of every sender's counters since the last Reset.
+// Reads take a mutex and sum all senders, so they cost microseconds and
+// sends cost none of it. Snapshots are approximate under concurrency,
+// exact once the system has quiesced; counts survive the sending threads.
 class NetStats {
  public:
-  NetStats();
+  // Counters for a new sender; they live, and count, as long as this.
+  SenderCounters* AddSender();
 
-  void Record(const Message& msg);
+  // Counts from here on: the current totals become the baseline.
   void Reset();
 
   int64_t MessagesOfType(MsgType type) const;
   int64_t BytesOfType(MsgType type) const;
-  int64_t total_messages() const { return total_msgs_.load(); }
-  int64_t total_bytes() const { return total_bytes_.load(); }
-  int64_t remote_messages() const { return remote_msgs_.load(); }
-  int64_t local_messages() const { return local_msgs_.load(); }
+  int64_t total_messages() const;
+  int64_t total_bytes() const;
+  int64_t remote_messages() const;
+  int64_t local_messages() const;
 
   // Multi-line human-readable dump of non-zero counters.
   std::string ToString() const;
 
  private:
-  static constexpr size_t kNumTypes = static_cast<size_t>(MsgType::kNumTypes);
-  std::array<std::atomic<int64_t>, kNumTypes> msgs_;
-  std::array<std::atomic<int64_t>, kNumTypes> bytes_;
-  std::atomic<int64_t> total_msgs_{0};
-  std::atomic<int64_t> total_bytes_{0};
-  std::atomic<int64_t> remote_msgs_{0};
-  std::atomic<int64_t> local_msgs_{0};
+  static constexpr size_t kNumTypes = SenderCounters::kNumTypes;
+  struct Totals {
+    int64_t msgs[2][kNumTypes] = {};  // [remote][type]
+    int64_t bytes[kNumTypes] = {};
+  };
+
+  // Sum over all senders since the last Reset.
+  Totals Sum() const;
+  // Sum over all senders since construction.
+  Totals SumLocked() const LAPSE_REQUIRES(mu_);
+
+  mutable Mutex mu_;
+  std::deque<SenderCounters> senders_ LAPSE_GUARDED_BY(mu_);
+  Totals baseline_ LAPSE_GUARDED_BY(mu_);
 };
 
 class Network;
 
+// A sending thread slot (node, thread): its lane into every inbox and its
+// message counters. Slots live as long as the Network. An endpoint holds
+// its slot for its lifetime, and the next endpoint on the same slot (a
+// worker of the next PsSystem::Run, say) continues its predecessor's lanes
+// and counters, so per-connection FIFO spans endpoint generations.
+struct SenderSlot {
+  NodeId node = -1;
+  int32_t thread = -1;
+  bool live = false;          // an endpoint holds it; under Network's mutex
+  std::vector<Lane*> lanes;   // per destination (node, shard); inbox-owned
+  SenderCounters* counters = nullptr;  // owned by NetStats
+};
+
 // Sending handle owned by exactly one thread. Messages sent through one
 // endpoint to the same destination (node, shard) inbox are delivered in send
-// order (per-connection FIFO, like one TCP connection per peer). Thread-
-// compatible, not thread-safe: each thread creates its own endpoint.
+// order (per-connection FIFO, like one TCP connection per peer): each such
+// connection is one Lane, and Send clamps every delivery time to the lane's
+// last one. Thread-compatible, not thread-safe: each thread creates its own
+// endpoint, and at most one endpoint per (node, thread) slot is alive.
+//
+// Send writes the message into its lane and bumps this slot's own
+// counters. Beyond the NIC and service registers of the latency model (when
+// those are on), the only lines it shares are its lane's, which the drain
+// thread reads, and the inbox's parked flag, which it only reads. It takes
+// no mutex and touches neither a shared queue nor process-wide counters.
 class Endpoint {
  public:
-  Endpoint(Network* network, NodeId node, int32_t thread, uint64_t seed);
+  Endpoint(Network* network, SenderSlot* slot, uint64_t seed);
+  ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
@@ -67,10 +118,10 @@ class Endpoint {
 
  private:
   Network* network_;
+  SenderSlot* slot_;
   NodeId node_;
   int32_t thread_;
   LatencyModel latency_;
-  std::vector<int64_t> last_deliver_ns_;  // per destination (node, shard)
 };
 
 // In-process simulated cluster interconnect: one inbox per (node, server
@@ -98,7 +149,8 @@ class Network {
   const LatencyConfig& latency_config() const { return latency_config_; }
 
   // Creates a sending endpoint for (node, thread). thread slot 0 is the
-  // server thread by convention; workers use slots >= 1.
+  // server thread by convention; workers use slots >= 1. CHECK-fails while
+  // another endpoint on the same slot is alive.
   std::unique_ptr<Endpoint> CreateEndpoint(NodeId node, int32_t thread);
 
   // Blocking receive for `node`'s shard-0 server thread. Returns false once
@@ -108,7 +160,7 @@ class Network {
 
   // Batched receive: appends every currently-deliverable message for the
   // given (node, shard) inbox in delivery order (at least one; blocks like
-  // Recv). One lock/wakeup per batch instead of per message.
+  // Recv). One scan of the inbox's lanes per batch instead of per message.
   bool RecvBatch(NodeId node, std::vector<Message>* out) {
     return RecvBatch(node, 0, out);
   }
@@ -162,12 +214,16 @@ class Network {
  private:
   friend class Endpoint;
 
+  // Hands (node, thread)'s slot to a new endpoint, creating it on first use.
+  SenderSlot* AcquireSlot(NodeId node, int32_t thread);
+  void ReleaseSlot(SenderSlot* slot);
+
   size_t InboxIndex(NodeId node, int shard) const {
     return static_cast<size_t>(node) * shards_per_node_ + shard;
   }
 
   // Total messages ever enqueued across node n's shard inboxes. Monotone
-  // (each per-shard PutCount is), which Quiesce's argument relies on.
+  // (each lane tail is), which Quiesce's argument relies on.
   int64_t NodePutCount(NodeId n) const {
     int64_t total = 0;
     for (int s = 0; s < shards_per_node_; ++s) {
@@ -210,6 +266,8 @@ class Network {
   std::vector<std::atomic<int64_t>> ingress_busy_until_;
   std::vector<std::atomic<int64_t>> service_busy_until_;  // (node, shard)
   NetStats stats_;
+  Mutex slots_mu_;
+  std::vector<std::unique_ptr<SenderSlot>> slots_ LAPSE_GUARDED_BY(slots_mu_);
 };
 
 }  // namespace net

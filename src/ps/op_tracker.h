@@ -225,7 +225,13 @@ class OpTracker {
   }
 
   static constexpr size_t kMaxSpareOps = 64;
-  Mutex mu_;
+  // The issuing worker and the drain thread that completes its ops take
+  // mu_ in turn, each for well under a microsecond. Spinning before
+  // blocking keeps that hand-off off the futex: on the host-bound
+  // micro_server_scaling point (4-core host) a blocking mutex made the
+  // drain thread take 2.1 us per response instead of 1.5 us.
+  static constexpr int kLockSpinTries = 64;
+  Mutex mu_{kLockSpinTries};
   CondVar cv_;
   OpMap ops_ LAPSE_GUARDED_BY(mu_);
   std::vector<OpMap::node_type> spare_ops_ LAPSE_GUARDED_BY(mu_);

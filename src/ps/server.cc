@@ -93,8 +93,8 @@ Server::Server(NodeContext* ctx, net::Network* network, int shard)
 }
 
 void Server::Run() {
-  // Drain this shard's inbox in batches: one lock acquisition (and at most
-  // one condvar wakeup) per burst of deliverable messages instead of per
+  // Drain this shard's inbox in batches: one scan of its lanes (and at
+  // most one wakeup) per burst of deliverable messages instead of per
   // message.
   while (network_->RecvBatch(ctx_->node, shard_, &batch_)) {
     for (Message& msg : batch_) {

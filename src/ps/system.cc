@@ -82,8 +82,8 @@ PsSystem::PsSystem(Config config)
         config_.workers_per_node + 2 + (num_shards - 1));
     for (NodeId n = 0; n < config_.num_nodes; ++n) {
       nodes_[n]->obs = obs_->NodeRings(n);
-      // Every (node, shard) inbox samples its own depth on each Put, so
-      // the gauge covers all shards exactly once.
+      // Every (node, shard) drain thread samples its own inbox's depth on
+      // each message it takes, so the gauge covers all shards exactly once.
       for (int s = 0; s < num_shards; ++s) {
         network_.inbox(n, s).SetDepthHistogram(&obs_->InboxDepth());
       }
