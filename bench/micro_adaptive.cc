@@ -14,8 +14,10 @@
 //                       acceptance bar)
 //   throughput       -- adaptive ops/s; baseline = static ops/s
 //   relocated_keys   -- keys the engine moved (adaptive run only)
+//   hardware_threads -- std::thread::hardware_concurrency()
 
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -93,9 +95,11 @@ RunResult RunWorkload(bool adaptive) {
     for (int round = 0; round < kRounds; ++round) {
       if (w.worker_id() % kWorkersPerNode == 0 && node == 0) {
         local_at_round[round] =
-            system.TotalLocalReads() + system.TotalLocalWrites();
+            system.TotalLocalReads() +
+            system.Sum(&ps::ServerStats::local_key_writes).sum;
         remote_at_round[round] =
-            system.TotalRemoteReads() + system.TotalRemoteWrites();
+            system.TotalRemoteReads() +
+            system.Sum(&ps::ServerStats::remote_key_writes).sum;
       }
       w.Barrier();
       for (int64_t i = 0; i < kOpsPerRound; ++i) {
@@ -110,9 +114,11 @@ RunResult RunWorkload(bool adaptive) {
     }
     if (w.worker_id() % kWorkersPerNode == 0 && node == 0) {
       local_at_round[kRounds] =
-          system.TotalLocalReads() + system.TotalLocalWrites();
+          system.TotalLocalReads() +
+          system.Sum(&ps::ServerStats::local_key_writes).sum;
       remote_at_round[kRounds] =
-          system.TotalRemoteReads() + system.TotalRemoteWrites();
+          system.TotalRemoteReads() +
+          system.Sum(&ps::ServerStats::remote_key_writes).sum;
     }
   });
 
@@ -129,7 +135,7 @@ RunResult RunWorkload(bool adaptive) {
   result.ops_per_sec = static_cast<double>(kRounds * kOpsPerRound *
                                            kNodes * kWorkersPerNode) /
                        secs;
-  result.relocated = system.TotalRelocatedKeys();
+  result.relocated = system.Sum(&ps::ServerStats::relocations).count;
   return result;
 }
 
@@ -164,6 +170,8 @@ int main() {
       {"local_hit_ratio", ad.final_hit_ratio, st.final_hit_ratio},
       {"throughput", ad.ops_per_sec, st.ops_per_sec},
       {"relocated_keys", static_cast<double>(ad.relocated), 0.0},
+      {"hardware_threads",
+       static_cast<double>(std::thread::hardware_concurrency()), 0.0},
   };
   if (!bench::WriteBenchJson("BENCH_adaptive.json", "micro_adaptive",
                              metrics)) {

@@ -163,7 +163,7 @@ void RunPacedWait(obs::HistogramSummary* wait, double* frac_within) {
   cfg.coalescing = true;
   cfg.coalesce_max_ops = 62;  // out of reach at this pace
   cfg.coalesce_delay_micros = kDelayMicros;
-  cfg.obs.enabled = true;  // feeds obs.coalesce.wait_ns
+  cfg.obs.sample_every = 64;  // tracing feeds obs.coalesce.wait_ns
   ps::PsSystem system(cfg);
   const uint64_t begin = system.layout().HomeBegin(1);
   const uint64_t range = system.layout().HomeEnd(1) - begin;

@@ -9,9 +9,10 @@
 //   localize_rt     -- Localize round-trip for remote keys (3-message
 //                      relocation protocol, zero simulated latency)
 //
-// Writes BENCH_hotpath.json (ops/sec per metric, plus the pre-optimization
-// baseline measured in the PR that introduced this bench) so the perf
-// trajectory is tracked across PRs. Each operation covers kKeysPerOp keys.
+// Writes BENCH_hotpath.json (ops/sec per metric, and the host's
+// hardware_threads) so the perf trajectory is tracked across PRs; a
+// baseline for any row is a run of another commit's binary on the same
+// host. Each operation covers kKeysPerOp keys.
 //
 // The local metrics are medians of kLocalReps single-binary runs, and
 // their run-to-run noise band (max/min across reps) is recorded as
@@ -27,6 +28,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -38,15 +40,6 @@ namespace {
 
 constexpr size_t kKeysPerOp = 8;
 constexpr size_t kLen = 32;
-
-// Pre-optimization ops/sec, measured with this bench on the seed hot path
-// (per-op duplicate-check copy+sort, per-op vector allocations, std::map
-// grouping, one lock acquisition per received message) on the same machine
-// that produced the current numbers. Update only when re-baselining.
-constexpr double kBaselineLocalPull = 2232204.0;
-constexpr double kBaselineLocalPush = 1957185.0;
-constexpr double kBaselineRemotePull = 60557.0;
-constexpr double kBaselineLocalizeRt = 52033.0;
 
 ps::Config LocalConfig() {
   ps::Config cfg;
@@ -215,14 +208,16 @@ int main() {
   std::printf("localize_rt   %12.0f ops/s\n", localize_rt);
 
   const std::vector<bench::JsonMetric> metrics = {
-      {"local_pull", local_pull, kBaselineLocalPull},
-      {"local_push", local_push, kBaselineLocalPush},
-      {"remote_pull", remote_pull, kBaselineRemotePull},
-      {"localize_rt", localize_rt, kBaselineLocalizeRt},
+      {"local_pull", local_pull, 0.0},
+      {"local_push", local_push, 0.0},
+      {"remote_pull", remote_pull, 0.0},
+      {"localize_rt", localize_rt, 0.0},
       // Run-to-run noise bands (max/min over the reps behind the medians
       // above); deltas inside these bands are not regressions.
       {"local_pull_spread", pull_reps.spread, 0.0},
       {"local_push_spread", push_reps.spread, 0.0},
+      {"hardware_threads",
+       static_cast<double>(std::thread::hardware_concurrency()), 0.0},
   };
   if (!bench::WriteBenchJson("BENCH_hotpath.json", "micro_hotpath",
                              metrics)) {

@@ -52,7 +52,8 @@ void RunContendedLocalize(benchmark::State& state, int64_t remote_ns,
     }
     std::vector<Key> batch_keys(batch);
     uint64_t base = 0;
-    const int64_t reloc_before = system->TotalRelocatedKeys();
+    const int64_t reloc_before =
+        system->Sum(&ps::ServerStats::relocations).count;
     for (auto _ : state) {
       for (size_t i = 0; i < batch; ++i) {
         batch_keys[i] = (base + i) % kKeys;
@@ -60,14 +61,16 @@ void RunContendedLocalize(benchmark::State& state, int64_t remote_ns,
       w.Localize(batch_keys);
       base += batch;
     }
-    const int64_t reloc_after = system->TotalRelocatedKeys();
+    const int64_t reloc_after =
+        system->Sum(&ps::ServerStats::relocations).count;
     stop.store(true, std::memory_order_relaxed);
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations() * batch));
     state.counters["relocated_keys"] = benchmark::Counter(
         static_cast<double>(reloc_after - reloc_before),
         benchmark::Counter::kIsRate);
-    state.counters["mean_RT_us"] = system->MeanRelocationNs() / 1e3;
+    state.counters["mean_RT_us"] =
+        system->Sum(&ps::ServerStats::relocations).Mean() / 1e3;
   });
 }
 

@@ -85,7 +85,6 @@ ps::Config BenchConfig() {
   cfg.adaptive.replicate_read_fraction = 0.9;
   cfg.replication = true;
   cfg.replica_staleness_micros = 100'000;
-  cfg.obs.enabled = true;
   cfg.obs.sample_every = 16;
   cfg.obs.ring_capacity = 1 << 14;
   cfg.obs.snapshot_micros = 2'000;
@@ -236,14 +235,14 @@ int Main() {
   // Comparison pass: same workload with request coalescing on. Sync ops
   // Wait their own handle, which force-drains the held batch, so the
   // coalescer must not move the tail: the contract is p99 within the
-  // uncoalesced p99 plus 2x the delay knob. Obs stays off here so this
-  // pass cannot clobber the primary pass's metrics/trace artifacts.
+  // uncoalesced p99 plus 2x the delay knob. Tracing and the exports stay
+  // off here so this pass cannot clobber the primary pass's artifacts.
   constexpr int64_t kCoalesceDelayMicros = 200;
   ps::Config coal_cfg = BenchConfig();
   coal_cfg.coalescing = true;
   coal_cfg.coalesce_max_ops = 16;
   coal_cfg.coalesce_delay_micros = kCoalesceDelayMicros;
-  coal_cfg.obs.enabled = false;
+  coal_cfg.obs.sample_every = 0;
   coal_cfg.obs.metrics_json_path.clear();
   coal_cfg.obs.trace_path.clear();
   obs::HistogramSummary ccs;

@@ -47,14 +47,15 @@ int main() {
     const double seconds = results.back().seconds;
     const int64_t local = system.TotalLocalReads();
     const int64_t remote = system.TotalRemoteReads();
-    const int64_t reloc = system.TotalRelocatedKeys();
+    const CounterSum relocations = system.Sum(&ps::ServerStats::relocations);
+    const int64_t reloc = relocations.count;
     table.AddRow(
         {TablePrinter::Int(scale.nodes), TablePrinter::Int(local + remote),
          TablePrinter::Int(local), TablePrinter::Int(remote),
          TablePrinter::Int(reloc),
          TablePrinter::Int(
              seconds > 0 ? static_cast<int64_t>(reloc / seconds) : 0),
-         TablePrinter::Num(system.MeanRelocationNs() / 1e6, 3)});
+         TablePrinter::Num(relocations.Mean() / 1e6, 3)});
   }
   table.Print(std::cout);
   return 0;

@@ -67,12 +67,12 @@ int main(int argc, char** argv) {
 
   const int64_t local = system.TotalLocalReads();
   const int64_t remote = system.TotalRemoteReads();
+  const CounterSum relocations = system.Sum(&ps::ServerStats::relocations);
   std::printf(
       "reads: %lld local / %lld remote (%.1f%% local); %lld keys "
       "relocated, mean relocation %.1f us\n",
       static_cast<long long>(local), static_cast<long long>(remote),
       100.0 * local / static_cast<double>(local + remote),
-      static_cast<long long>(system.TotalRelocatedKeys()),
-      system.MeanRelocationNs() / 1e3);
+      static_cast<long long>(relocations.count), relocations.Mean() / 1e3);
   return 0;
 }

@@ -76,8 +76,9 @@ int main() {
   std::printf("network traffic: %lld messages, %lld bytes\n",
               static_cast<long long>(system.net_stats().total_messages()),
               static_cast<long long>(system.net_stats().total_bytes()));
+  const CounterSum relocations = system.Sum(&ps::ServerStats::relocations);
   std::printf("relocated keys: %lld (mean relocation time %.1f us)\n",
-              static_cast<long long>(system.TotalRelocatedKeys()),
-              system.MeanRelocationNs() / 1e3);
+              static_cast<long long>(relocations.count),
+              relocations.Mean() / 1e3);
   return 0;
 }

@@ -94,6 +94,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(local),
       static_cast<long long>(system.TotalReplicaReads()),
       static_cast<long long>(remote),
-      static_cast<long long>(system.TotalRelocatedKeys()));
+      static_cast<long long>(system.Sum(&ps::ServerStats::relocations).count));
   return 0;
 }

@@ -40,9 +40,9 @@ size_t AccessStats::DrainAll(std::vector<AccessSample>* out) {
   return n;
 }
 
-int64_t AccessStats::TotalDropped() const {
+int64_t AccessStats::TakeDropped() {
   int64_t n = 0;
-  for (const auto& ring : rings_) n += ring->dropped();
+  for (auto& ring : rings_) n += ring->TakeDropped();
   return n;
 }
 

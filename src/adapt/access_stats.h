@@ -63,6 +63,13 @@ class SampleRing {
   int64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
+  // Returns the drops counted since the last call and restarts the count.
+  // Writes only when there were drops: the count shares the producer's
+  // cache line.
+  int64_t TakeDropped() {
+    return dropped() == 0 ? 0
+                          : dropped_.exchange(0, std::memory_order_relaxed);
+  }
 
  private:
   std::vector<AccessSample> buf_;
@@ -85,7 +92,8 @@ class AccessStats {
   // Drains every ring into `out` (appending); returns total drained.
   size_t DrainAll(std::vector<AccessSample>* out);
 
-  int64_t TotalDropped() const;
+  // Drops of every ring since the last call.
+  int64_t TakeDropped();
 
  private:
   std::vector<std::unique_ptr<SampleRing>> rings_;

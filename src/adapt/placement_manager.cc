@@ -68,19 +68,6 @@ void PlacementManager::SetReplicationHook(
   if (installed) installed(replay);
 }
 
-AdaptStats PlacementManager::stats() const {
-  AdaptStats s;
-  s.ticks = n_ticks_.load(std::memory_order_relaxed);
-  s.samples = n_samples_.load(std::memory_order_relaxed);
-  s.dropped_samples = ctx_->access_stats->TotalDropped();
-  s.localizes_issued = n_localizes_.load(std::memory_order_relaxed);
-  s.evictions_issued = n_evictions_.load(std::memory_order_relaxed);
-  s.replication_flags = n_flags_.load(std::memory_order_relaxed);
-  s.replicas_pinned = n_pinned_.load(std::memory_order_relaxed);
-  s.replicas_unpinned = n_unpinned_.load(std::memory_order_relaxed);
-  return s;
-}
-
 std::vector<Key> PlacementManager::ReplicationFlagged() const {
   MutexLock lock(mu_);
   return flagged_;
@@ -138,8 +125,10 @@ void PlacementManager::Tick() {
 
   sample_scratch_.clear();
   const size_t drained = ctx_->access_stats->DrainAll(&sample_scratch_);
-  n_samples_.fetch_add(static_cast<int64_t>(drained),
-                       std::memory_order_relaxed);
+  live_.samples.fetch_add(static_cast<int64_t>(drained),
+                          std::memory_order_relaxed);
+  live_.dropped_samples.fetch_add(ctx_->access_stats->TakeDropped(),
+                                  std::memory_order_relaxed);
   for (const AccessSample& s : sample_scratch_) {
     policy_.Record(s.key, s.is_write());
   }
@@ -157,18 +146,18 @@ void PlacementManager::Tick() {
         return ctx->replicas != nullptr && ctx->replicas->IsPinned(k);
       },
       &decisions_scratch_);
-  n_ticks_.fetch_add(1, std::memory_order_relaxed);
+  live_.ticks.fetch_add(1, std::memory_order_relaxed);
 
   if (!decisions_scratch_.localize.empty()) {
     worker_->LocalizeAsync(decisions_scratch_.localize);
-    n_localizes_.fetch_add(
+    live_.localizes_issued.fetch_add(
         static_cast<int64_t>(decisions_scratch_.localize.size()),
         std::memory_order_relaxed);
   }
   if (!decisions_scratch_.evict.empty()) {
     const size_t issued = worker_->Evict(decisions_scratch_.evict);
-    n_evictions_.fetch_add(static_cast<int64_t>(issued),
-                           std::memory_order_relaxed);
+    live_.evictions_issued.fetch_add(static_cast<int64_t>(issued),
+                                     std::memory_order_relaxed);
   }
   if (!decisions_scratch_.replicate.empty()) {
     // The real serving path: pin the flagged keys into the node's replica
@@ -178,8 +167,8 @@ void PlacementManager::Tick() {
     if (ctx_->replicas != nullptr) {
       const size_t pinned =
           worker_->Replicate(decisions_scratch_.replicate);
-      n_pinned_.fetch_add(static_cast<int64_t>(pinned),
-                          std::memory_order_relaxed);
+      live_.replicas_pinned.fetch_add(static_cast<int64_t>(pinned),
+                                      std::memory_order_relaxed);
     }
     std::function<void(const std::vector<Key>&)> hook;
     {
@@ -188,7 +177,7 @@ void PlacementManager::Tick() {
                       decisions_scratch_.replicate.end());
       hook = hook_;
     }
-    n_flags_.fetch_add(
+    live_.replication_flags.fetch_add(
         static_cast<int64_t>(decisions_scratch_.replicate.size()),
         std::memory_order_relaxed);
     if (hook) hook(decisions_scratch_.replicate);
@@ -208,8 +197,8 @@ void PlacementManager::Tick() {
     // slate, so they are ordinary localize candidates from here on.
     const size_t unpinned =
         worker_->Unreplicate(decisions_scratch_.unreplicate);
-    n_unpinned_.fetch_add(static_cast<int64_t>(unpinned),
-                          std::memory_order_relaxed);
+    live_.replicas_unpinned.fetch_add(static_cast<int64_t>(unpinned),
+                                      std::memory_order_relaxed);
   }
 }
 

@@ -13,27 +13,35 @@
 #include "obs/histogram.h"
 #include "ps/node_context.h"
 #include "ps/worker.h"
+#include "util/stats.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
 namespace lapse {
 namespace adapt {
 
-// Aggregate counters of one node's placement manager (monitoring only).
+// The counters of one node's placement manager, X(name, kind), written by
+// its thread; the registry names them node{n}.adapt.<name>.
+#define LAPSE_ADAPT_STATS(X)                                               \
+  X(ticks, kCumulative)                                                    \
+  /* Samples drained from the worker rings. */                             \
+  X(samples, kCumulative)                                                  \
+  /* Ring overflows (the manager fell behind), taken at each drain. */     \
+  X(dropped_samples, kCumulative)                                          \
+  X(localizes_issued, kCumulative)                                         \
+  X(evictions_issued, kCumulative)                                         \
+  X(replication_flags, kCumulative)                                        \
+  /* Flagged keys actually pinned into the node's ReplicaManager (0        \
+     unless Config::replication is on). */                                 \
+  X(replicas_pinned, kCumulative)                                          \
+  /* Pinned keys unpinned again by policy decision (read fraction dropped  \
+     below unreplicate_read_fraction, or cold for unreplicate_cold_windows \
+     windows). */                                                          \
+  X(replicas_unpinned, kCumulative)
+
+// A snapshot of one node's placement-manager counters (monitoring only).
 struct AdaptStats {
-  int64_t ticks = 0;
-  int64_t samples = 0;          // samples drained from the worker rings
-  int64_t dropped_samples = 0;  // ring overflows (manager fell behind)
-  int64_t localizes_issued = 0;
-  int64_t evictions_issued = 0;
-  int64_t replication_flags = 0;
-  // Flagged keys actually pinned into the node's ReplicaManager (0 unless
-  // Config::replication is on).
-  int64_t replicas_pinned = 0;
-  // Pinned keys unpinned again by policy decision (read fraction dropped
-  // below unreplicate_read_fraction, or cold for unreplicate_cold_windows
-  // windows).
-  int64_t replicas_unpinned = 0;
+  LAPSE_STAT_INT64_STRUCT(LAPSE_ADAPT_STATS)
 };
 
 // Per-node background thread that makes relocation automatic: drains the
@@ -74,7 +82,9 @@ class PlacementManager {
   // thread), so installation order does not lose flags.
   void SetReplicationHook(std::function<void(const std::vector<Key>&)> hook);
 
-  AdaptStats stats() const;
+  AdaptStats stats() const { return LoadStats<AdaptStats>(live_); }
+  // Zeroes the counters. Only while the manager is paused.
+  void ResetStats() { ResetCumulative<AdaptStats>(live_); }
 
   // Observability hook: each Tick()'s duration (drain + classify + act,
   // ns) is recorded into `h`. Install before Resume(); null (default)
@@ -112,13 +122,9 @@ class PlacementManager {
   bool stop_ LAPSE_GUARDED_BY(mu_) = false;
   std::vector<Key> flagged_ LAPSE_GUARDED_BY(mu_);
 
-  std::atomic<int64_t> n_ticks_{0};
-  std::atomic<int64_t> n_samples_{0};
-  std::atomic<int64_t> n_localizes_{0};
-  std::atomic<int64_t> n_evictions_{0};
-  std::atomic<int64_t> n_flags_{0};
-  std::atomic<int64_t> n_pinned_{0};
-  std::atomic<int64_t> n_unpinned_{0};
+  struct LiveStats {
+    LAPSE_ADAPT_STATS(LAPSE_STAT_ATOMIC)
+  } live_;
   std::atomic<obs::Histogram*> tick_hist_{nullptr};
 
   std::thread thread_;

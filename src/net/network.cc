@@ -73,16 +73,13 @@ int64_t NetStats::BytesOfType(MsgType type) const {
   return Sum().bytes[static_cast<size_t>(type)];
 }
 
-int64_t NetStats::total_messages() const {
-  const Totals s = Sum();
-  return SumOf(s.msgs[0]) + SumOf(s.msgs[1]);
-}
-
-int64_t NetStats::total_bytes() const { return SumOf(Sum().bytes); }
-
-int64_t NetStats::remote_messages() const { return SumOf(Sum().msgs[1]); }
-
-int64_t NetStats::local_messages() const { return SumOf(Sum().msgs[0]); }
+#define LAPSE_NET_TOTAL_DEF(name, expr) \
+  int64_t NetStats::name() const {     \
+    const Totals t = Sum();            \
+    return (expr);                     \
+  }
+LAPSE_NET_TOTALS(LAPSE_NET_TOTAL_DEF)
+#undef LAPSE_NET_TOTAL_DEF
 
 std::string NetStats::ToString() const {
   const Totals s = Sum();

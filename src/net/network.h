@@ -35,6 +35,20 @@ class alignas(64) SenderCounters {
   std::atomic<int64_t> bytes_[kNumTypes] = {};
 };
 
+// The totals of NetStats, X(name, expr): expr computes the total from t,
+// the per-type sums since the last Reset (t.msgs[0] loop-back, t.msgs[1]
+// cross-node). Every sender counts them; all are cumulative, and the
+// registry names them net.<name>.
+#define LAPSE_NET_TOTALS(X)                                \
+  /* Messages sent, loop-back and cross-node. */           \
+  X(total_messages, SumOf(t.msgs[0]) + SumOf(t.msgs[1]))  \
+  /* Bytes sent (Message::WireBytes). */                   \
+  X(total_bytes, SumOf(t.bytes))                           \
+  /* Messages between two nodes. */                        \
+  X(remote_messages, SumOf(t.msgs[1]))                     \
+  /* Messages a node sent to itself. */                    \
+  X(local_messages, SumOf(t.msgs[0]))
+
 // Aggregate message statistics, by type and by locality (loop-back vs
 // cross-node): the sum of every sender's counters since the last Reset.
 // Reads take a mutex and sum all senders, so they cost microseconds and
@@ -50,10 +64,18 @@ class NetStats {
 
   int64_t MessagesOfType(MsgType type) const;
   int64_t BytesOfType(MsgType type) const;
-  int64_t total_messages() const;
-  int64_t total_bytes() const;
-  int64_t remote_messages() const;
-  int64_t local_messages() const;
+#define LAPSE_NET_TOTAL_DECL(name, expr) int64_t name() const;
+  LAPSE_NET_TOTALS(LAPSE_NET_TOTAL_DECL)
+#undef LAPSE_NET_TOTAL_DECL
+
+  // Calls f(name, get) per total, where get(stats) reads it.
+  template <typename F>
+  static void ForEachTotal(F&& f) {
+#define LAPSE_NET_TOTAL_VISIT(name, expr) \
+  f(#name, [](const NetStats& s) { return s.name(); });
+    LAPSE_NET_TOTALS(LAPSE_NET_TOTAL_VISIT)
+#undef LAPSE_NET_TOTAL_VISIT
+  }
 
   // Multi-line human-readable dump of non-zero counters.
   std::string ToString() const;

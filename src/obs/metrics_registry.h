@@ -35,12 +35,12 @@ struct MetricsSnapshot {
   std::vector<HistogramValue> histograms;
 };
 
-// Central name -> metric directory. Everything the system already counts
-// (ServerStats, AdaptStats, ReplicaManagerStats, NetStats) registers here
-// once at system construction, plus the observability layer's histograms;
-// snapshots read the live objects, so registration is free of per-event
-// cost. Registration happens during setup; Snapshot()/WriteJson() may be
-// called from any thread afterwards.
+// Central name -> metric directory. PsSystem owns one and, at
+// construction and whatever the config, registers every field of its stats
+// lists (ServerStats, AdaptStats, ReplicaManagerStats, NetStats); tracing
+// adds its histograms. Snapshots read the live objects, so registration is
+// free of per-event cost. Registration happens during setup;
+// Snapshot()/WriteJson() may be called from any thread afterwards.
 class MetricsRegistry {
  public:
   void AddCounter(std::string name, const Counter* counter);

@@ -11,14 +11,12 @@ namespace lapse {
 namespace obs {
 
 Observability::Observability(const ObsConfig& config, int num_nodes,
-                             int slots_per_node)
+                             int slots_per_node, MetricsRegistry* registry)
     : config_(config) {
-  if (config_.sample_every > 0) {
-    nodes_.reserve(static_cast<size_t>(num_nodes));
-    for (int n = 0; n < num_nodes; ++n) {
-      nodes_.push_back(
-          std::make_unique<NodeObs>(slots_per_node, config_.ring_capacity));
-    }
+  nodes_.reserve(static_cast<size_t>(num_nodes));
+  for (int n = 0; n < num_nodes; ++n) {
+    nodes_.push_back(
+        std::make_unique<NodeObs>(slots_per_node, config_.ring_capacity));
   }
   // A record that never completes (dropped event, op abandoned at
   // teardown) is garbage-collected after ~2 seconds of passes.
@@ -28,26 +26,26 @@ Observability::Observability(const ObsConfig& config, int num_nodes,
 
   // The layer's own metrics, named like everything else in the registry.
   for (size_t k = 0; k < static_cast<size_t>(OpKind::kNumKinds); ++k) {
-    registry_.AddHistogram(
+    registry->AddHistogram(
         std::string("obs.op.") + OpKindName(static_cast<OpKind>(k)) +
             ".latency_ns",
         &op_latency_[k]);
   }
   for (const Phase p : {Phase::kLocal, Phase::kQueue, Phase::kNet,
                         Phase::kRelocStall, Phase::kCoalesceWait}) {
-    registry_.AddHistogram(
+    registry->AddHistogram(
         std::string("obs.phase.") + PhaseName(p) + ".ns",
         &phase_duration_[static_cast<size_t>(p)]);
   }
-  registry_.AddHistogram("obs.replica.read_age_ns", &replica_read_age_);
-  registry_.AddHistogram("obs.net.inbox_depth", &inbox_depth_);
-  registry_.AddHistogram("obs.adapt.tick_ns", &adapt_tick_);
-  registry_.AddHistogram("obs.coalesce.batch_size", &coalesce_batch_size_);
-  registry_.AddHistogram("obs.coalesce.wait_ns", &coalesce_wait_ns_);
-  registry_.AddGauge("obs.finalized_ops", [this] { return finalized_ops(); });
-  registry_.AddGauge("obs.orphaned_ops", [this] { return orphaned_ops(); });
-  registry_.AddGauge("obs.dropped_events", [this] { return dropped_events(); });
-  registry_.AddGauge("obs.trace_records_dropped",
+  registry->AddHistogram("obs.replica.read_age_ns", &replica_read_age_);
+  registry->AddHistogram("obs.net.inbox_depth", &inbox_depth_);
+  registry->AddHistogram("obs.adapt.tick_ns", &adapt_tick_);
+  registry->AddHistogram("obs.coalesce.batch_size", &coalesce_batch_size_);
+  registry->AddHistogram("obs.coalesce.wait_ns", &coalesce_wait_ns_);
+  registry->AddGauge("obs.finalized_ops", [this] { return finalized_ops(); });
+  registry->AddGauge("obs.orphaned_ops", [this] { return orphaned_ops(); });
+  registry->AddGauge("obs.dropped_events", [this] { return dropped_events(); });
+  registry->AddGauge("obs.trace_records_dropped",
                      [this] { return trace_records_dropped(); });
 }
 
@@ -84,7 +82,6 @@ void Observability::Loop() {
     {
       MutexLock collect(collect_mu_);
       DrainPassLocked();
-      latest_snapshot_ = registry_.Snapshot();
     }
     lock.Lock();
   }
@@ -97,7 +94,6 @@ void Observability::Flush() {
   // first.
   DrainPassLocked();
   DrainPassLocked();
-  latest_snapshot_ = registry_.Snapshot();
 }
 
 void Observability::DrainPassLocked() {
@@ -204,19 +200,10 @@ std::vector<OpRecord> Observability::FinalizedRecords() const {
   return trace_buf_;
 }
 
-MetricsSnapshot Observability::LatestSnapshot() const {
-  MutexLock lock(collect_mu_);
-  return latest_snapshot_;
-}
-
 int64_t Observability::dropped_events() const {
   int64_t total = 0;
   for (const auto& n : nodes_) total += n->TotalDropped();
   return total;
-}
-
-bool Observability::WriteMetricsJson(const std::string& path) {
-  return registry_.WriteJson(path);
 }
 
 bool Observability::WriteChromeTrace(const std::string& path) const {

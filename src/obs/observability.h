@@ -40,8 +40,8 @@ struct OpRecord {
   int32_t thread() const { return UidThread(uid); }
 };
 
-// The background collector of the observability layer: owns the per-node
-// trace rings, the latency histograms, and the metrics registry. A single
+// Tracing, the opt-in part of the observability layer: owns the per-node
+// trace rings and the latency histograms, and runs the collector. A single
 // thread drains all rings every snapshot_micros, joins events into
 // OpRecords keyed by uid, and on completion feeds the op/phase histograms
 // and the bounded trace buffer. Cross-node events of one op may be drained
@@ -51,20 +51,17 @@ struct OpRecord {
 class Observability {
  public:
   // `slots_per_node` mirrors adapt::AccessStats: 0 = server, 1..W =
-  // workers, W+1 = the placement manager's protocol worker.
-  Observability(const ObsConfig& config, int num_nodes, int slots_per_node);
+  // workers, W+1 = the placement manager's protocol worker. Registers the
+  // histograms and the collector's own gauges in `registry`, which must
+  // not be snapshot after this is destroyed.
+  Observability(const ObsConfig& config, int num_nodes, int slots_per_node,
+                MetricsRegistry* registry);
   ~Observability();
 
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
 
-  // Null when op tracing is off (sample_every == 0).
-  NodeObs* NodeRings(NodeId node) {
-    return node < static_cast<NodeId>(nodes_.size()) ? nodes_[node].get()
-                                                     : nullptr;
-  }
-
-  MetricsRegistry& registry() { return registry_; }
+  NodeObs* NodeRings(NodeId node) { return nodes_[node].get(); }
 
   // End-to-end latency histogram of one op kind (ns).
   Histogram& OpLatency(OpKind kind) {
@@ -97,14 +94,9 @@ class Observability {
   // max_trace_records).
   std::vector<OpRecord> FinalizedRecords() const;
 
-  // Takes a fresh registry snapshot and writes it to `path` as JSON.
-  bool WriteMetricsJson(const std::string& path);
   // Writes the buffered records as a chrome://tracing JSON array
   // (open chrome://tracing or https://ui.perfetto.dev and load the file).
   bool WriteChromeTrace(const std::string& path) const;
-
-  // Registry snapshot taken on the last collector pass.
-  MetricsSnapshot LatestSnapshot() const;
 
   // Collector self-metrics (exported as gauges too).
   int64_t finalized_ops() const {
@@ -137,7 +129,7 @@ class Observability {
   };
 
   const ObsConfig config_;
-  std::vector<std::unique_ptr<NodeObs>> nodes_;  // empty if tracing off
+  std::vector<std::unique_ptr<NodeObs>> nodes_;
 
   std::array<Histogram, static_cast<size_t>(OpKind::kNumKinds)> op_latency_;
   std::array<Histogram, static_cast<size_t>(Phase::kNumPhases)>
@@ -148,8 +140,6 @@ class Observability {
   Histogram coalesce_batch_size_;
   Histogram coalesce_wait_ns_;
 
-  MetricsRegistry registry_;
-
   // Collector state; everything below collect_mu_ is touched only while
   // holding it (collector thread, Flush, exports).
   mutable Mutex collect_mu_;
@@ -157,7 +147,6 @@ class Observability {
   std::unordered_map<uint64_t, Pending> pending_
       LAPSE_GUARDED_BY(collect_mu_);
   std::vector<OpRecord> trace_buf_ LAPSE_GUARDED_BY(collect_mu_);
-  MetricsSnapshot latest_snapshot_ LAPSE_GUARDED_BY(collect_mu_);
   uint64_t pass_ LAPSE_GUARDED_BY(collect_mu_) = 0;
   // GC bound for never-completing records (written once in the
   // constructor, before any concurrency).

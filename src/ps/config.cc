@@ -145,7 +145,7 @@ void Config::Validate() const {
     }
   }
 
-  if (obs.enabled) {
+  if (obs.sample_every > 0) {
     LAPSE_CHECK_GE(obs.ring_capacity, 64u)
         << "Config: obs.ring_capacity must be >= 64 (the event rings round "
            "up to a power of two; smaller rings drop most traced ops)";
@@ -156,9 +156,9 @@ void Config::Validate() const {
         << "Config: obs.max_trace_records must be >= 1 (0 would discard "
            "every finalized record before export)";
   } else {
-    LAPSE_CHECK(obs.metrics_json_path.empty() && obs.trace_path.empty())
-        << "Config: obs export paths are set but obs.enabled is false -- "
-           "nothing would ever be written to them";
+    LAPSE_CHECK(obs.trace_path.empty())
+        << "Config: obs.trace_path is set but tracing is off "
+           "(obs.sample_every == 0) -- no trace would ever be written";
   }
 
   if (replication) {

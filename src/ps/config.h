@@ -204,9 +204,10 @@ struct Config {
   uint32_t coalesce_max_ops = 16;
 
   // --- observability (src/obs) ------------------------------------------
-  // Sampling per-op timeline tracing, latency histograms, and the metrics
-  // registry with JSON / chrome://tracing export (PsSystem::DumpMetrics,
-  // PsSystem::DumpTrace). Works with every architecture and strategy.
+  // Sampling per-op timeline tracing and latency histograms (opt-in), and
+  // export of the always-on metrics registry (JSON) and the traces
+  // (chrome://tracing): PsSystem::DumpMetrics, PsSystem::DumpTrace. Works
+  // with every architecture and strategy.
   obs::ObsConfig obs;
 
   // Normalizes dependent options (classic architectures force the static

@@ -1,9 +1,12 @@
 #ifndef LAPSE_PS_NODE_CONTEXT_H_
 #define LAPSE_PS_NODE_CONTEXT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -71,14 +74,63 @@ struct ArrivingKey {
   std::vector<LocalizeWaiter> localize_waiters;
 };
 
-// Per-node performance counters (Table 5, Section 4.6).
+// Which threads write a ServerStats field, and so which copy counts it and
+// what the metrics registry calls it.
+enum class StatWriter : uint8_t {
+  // The node's workers, into NodeContext::stats: node{n}.<name>.
+  kWorker,
+  // One server shard's drain thread, into NodeContext::shard_stats[s]:
+  // node{n}.shard{s}.<name>.
+  kShard,
+};
+
+// One Counter per message type, registered as <name>.<MsgTypeName>.
+using MsgTypeCounters =
+    std::array<Counter, static_cast<size_t>(net::MsgType::kNumTypes)>;
+
+// The fields of ServerStats, X(type, name, writer): the per-node
+// performance counters (Table 5, Section 4.6). All are cumulative: a
+// Counter's count is events, its sum their total.
+#define LAPSE_SERVER_STATS(X)                                               \
+  /* Keys served via the shared-memory fast path. */                        \
+  X(Counter, local_key_reads, kWorker)                                      \
+  /* Keys this node's workers read via messages. */                         \
+  X(Counter, remote_key_reads, kWorker)                                     \
+  X(Counter, local_key_writes, kWorker)                                     \
+  X(Counter, remote_key_writes, kWorker)                                    \
+  /* Local ops that had to wait for a relocation. */                        \
+  X(Counter, queued_local_ops, kWorker)                                     \
+  /* Keys served from the node's replica store (bounded-staleness local    \
+     reads of contended keys; neither local_key_reads nor remote). */       \
+  X(Counter, replica_key_reads, kWorker)                                    \
+  /* Pushes folded into the node's replica write accumulators (no owner    \
+     message paid). */                                                      \
+  X(Counter, replica_key_writes, kWorker)                                   \
+  /* Worker ops that queued at least one key in the request coalescer. */   \
+  X(Counter, coalesced_ops, kWorker)                                        \
+  /* One Add(n_sub_ops) per batched wire message: count = batches, sum =   \
+     sub-ops (sum/count = mean batch size). */                              \
+  X(Counter, coalesce_batches, kWorker)                                     \
+  /* Wait/WaitAll/teardown drains that actually released a held batch. */   \
+  X(Counter, coalesce_forced_drains, kWorker)                               \
+  /* count = keys relocated to this node (as requester); sum = their       \
+     relocation time (ns), from localize issue to transfer arrival. */      \
+  X(Counter, relocations, kShard)                                           \
+  /* Transfers of keys some other node took. */                             \
+  X(Counter, localization_conflicts, kShard)                                \
+  /* Keys that returned to this node (their home) via an eviction issued   \
+     by some node's placement manager or Worker::Evict. */                  \
+  X(Counter, evictions_received, kShard)                                    \
+  /* Holders dropped from this home's replica directory by                 \
+     kReplicaUnregister. */                                                 \
+  X(Counter, replica_unregisters, kShard)                                   \
+  /* Per message type: count = messages, sum = lag (ns) between simulated  \
+     delivery and processing start (diagnoses server backlog). */           \
+  X(MsgTypeCounters, backlog_ns, kShard)
+
+// Per-node performance counters, declared by LAPSE_SERVER_STATS.
 //
-// RULES for adding counters here -- or any counter touched on the hot
-// paths (learned the hard way in PR 3):
-//  * Append new counters at the END of the struct. The hot counters sit on
-//    cache lines the fast paths already own; inserting a field mid-struct
-//    shifts them onto new lines and showed up as a double-digit-percent
-//    local-op regression.
+// RULES for counters touched on the hot paths:
 //  * Never call Counter::Add on a fast path. The worker-written counters
 //    (local/remote/replica key reads and writes, queued_local_ops) are
 //    summed in plain Worker members and published here by
@@ -96,62 +148,54 @@ struct ArrivingKey {
 // The same discipline applies to observability hooks: one predictable
 // branch (null/zero check) per operation is the budget, everything else
 // runs only for sampled ops or off the hot path entirely.
-struct ServerStats {
-  Counter local_key_reads;    // keys served via shared-memory fast path
-  Counter remote_key_reads;   // keys this node's workers read via messages
-  Counter local_key_writes;
-  Counter remote_key_writes;
-  Counter queued_local_ops;   // local ops that had to wait for a relocation
-  // count = relocated keys (as requester); sum = total relocation time (ns),
-  // measured from localize issue to transfer arrival.
-  Counter relocations;
-  // count = relocated keys; sum = total blocking time (ns), measured from
-  // the moment the first operation was queued (or the transfer arrival if
-  // nothing queued) -- approximates the paper's blocking-time notion.
-  Counter localization_conflicts;  // transfers of keys some other node took
-  // Keys that returned to this node (their home) via an eviction issued by
-  // some node's placement manager or Worker::Evict.
-  Counter evictions_received;
-  // Per-message-type lag between simulated delivery time and actual
-  // processing start at the server (diagnoses server backlog).
-  Counter backlog_ns[static_cast<size_t>(net::MsgType::kNumTypes)];
-  // Keys served from the node's replica store (bounded-staleness local
-  // reads of contended keys; neither local_key_reads nor remote). Kept
-  // last so the hot counters above stay on their established cache lines.
-  Counter replica_key_reads;
-  // Pushes folded into the node's replica write accumulators (no owner
-  // message paid), and holders dropped from this home's replica directory
-  // by kReplicaUnregister. Appended after replica_key_reads for the same
-  // cache-line reason.
-  Counter replica_key_writes;
-  Counter replica_unregisters;
-  // Request coalescing (ps::Coalescer), appended at the end per the rules
-  // above. coalesced_ops counts worker ops that queued at least one key in
-  // the coalescer; coalesce_batches records one Add(n_sub_ops) per batched
-  // wire message, so count = batches and sum = sub-ops (sum/count = mean
-  // batch size); coalesce_forced_drains counts Wait/WaitAll/teardown
-  // drains that actually released a held batch.
-  Counter coalesced_ops;
-  Counter coalesce_batches;
-  Counter coalesce_forced_drains;
-  void Reset() {
-    local_key_reads.Reset();
-    remote_key_reads.Reset();
-    local_key_writes.Reset();
-    remote_key_writes.Reset();
-    queued_local_ops.Reset();
-    relocations.Reset();
-    localization_conflicts.Reset();
-    evictions_received.Reset();
-    for (auto& b : backlog_ns) b.Reset();
-    replica_key_reads.Reset();
-    replica_key_writes.Reset();
-    replica_unregisters.Reset();
-    coalesced_ops.Reset();
-    coalesce_batches.Reset();
-    coalesce_forced_drains.Reset();
+//
+// alignas(64): each copy starts a cache line, so the copies of two shards
+// never share one between their drain threads.
+struct alignas(64) ServerStats {
+#define LAPSE_STAT_MEMBER(type, name, writer) type name;
+  LAPSE_SERVER_STATS(LAPSE_STAT_MEMBER)
+#undef LAPSE_STAT_MEMBER
+
+  // Calls f(name, get, writer) per field, where get(s) is that field of s.
+  template <typename F>
+  static void ForEachField(F&& f) {
+#define LAPSE_STAT_VISIT_SERVER(type, name, writer) \
+  f(#name, [](auto&& s) -> auto& { return s.name; }, StatWriter::writer);
+    LAPSE_SERVER_STATS(LAPSE_STAT_VISIT_SERVER)
+#undef LAPSE_STAT_VISIT_SERVER
   }
+
+  void Reset();
 };
+
+#define LAPSE_STAT_SIZE(type, name, writer) +sizeof(type)
+static_assert(sizeof(ServerStats) ==
+                  (0 LAPSE_SERVER_STATS(LAPSE_STAT_SIZE) + 63) / 64 * 64,
+              "every field of ServerStats belongs in LAPSE_SERVER_STATS");
+#undef LAPSE_STAT_SIZE
+
+// Calls f(suffix, counter) per Counter of a ServerStats field: once with
+// "" for a Counter, once per message type with ".<MsgTypeName>" for
+// MsgTypeCounters.
+template <typename C, typename F>
+void ForEachCounter(C& field, F&& f) {
+  if constexpr (std::is_same_v<std::remove_const_t<C>, MsgTypeCounters>) {
+    for (size_t t = 0; t < field.size(); ++t) {
+      f(std::string(".") + net::MsgTypeName(static_cast<net::MsgType>(t)),
+        field[t]);
+    }
+  } else {
+    f(std::string(), field);
+  }
+}
+
+inline void ServerStats::Reset() {
+  ForEachField([this](const char*, auto get, StatWriter) {
+    ForEachCounter(get(*this), [](const std::string&, Counter& c) {
+      c.Reset();
+    });
+  });
+}
 
 // Everything one logical node's server thread and worker threads share.
 struct NodeContext {
@@ -171,11 +215,11 @@ struct NodeContext {
   // config.replication).
   std::unique_ptr<ReplicaManager> replicas;
   // Trace-event rings of the observability layer, one per thread slot
-  // (owned by the PsSystem's obs::Observability; null unless
-  // config.obs.enabled with sample_every > 0).
+  // (owned by the PsSystem's obs::Observability; null unless tracing is
+  // on, config.obs.sample_every > 0).
   obs::NodeObs* obs = nullptr;
   // Coalescing histograms (owned by the PsSystem's obs::Observability;
-  // null unless obs is enabled). Histogram::Add is lock-free and
+  // null unless tracing is on). Histogram::Add is lock-free and
   // multi-producer safe, so every worker's coalescer feeds them directly.
   obs::Histogram* coalesce_batch_size_hist = nullptr;
   obs::Histogram* coalesce_wait_ns_hist = nullptr;
@@ -199,18 +243,13 @@ struct NodeContext {
   // the handler's own sends). Paired with Inbox::PutCount for quiescing.
   std::atomic<int64_t> processed_msgs{0};
 
-  // Node-level counters written by this node's *workers* (local/remote
-  // reads+writes, queued ops, replica reads/writes -- batched per worker,
-  // see the RULES above ServerStats). Server-thread-written counters live
-  // in shard_stats below so concurrent shard drains never share a counter
-  // cache line.
+  // The kWorker fields of ServerStats, written by this node's workers
+  // (batched per worker, see the RULES above ServerStats).
   ServerStats stats;
 
-  // One ServerStats per server shard, written only by the owning drain
-  // thread (relocations, localization_conflicts, evictions_received,
-  // backlog_ns[], replica_unregisters). Sized config->server_threads at
-  // system construction and never resized afterwards. Same append-only
-  // golden layout as `stats`; metric consumers sum across shards.
+  // One ServerStats per server shard, whose kShard fields only the owning
+  // drain thread writes. Sized config->server_threads at system
+  // construction and never resized afterwards.
   std::vector<ServerStats> shard_stats;
 
   KeyState StateOf(Key k) const {

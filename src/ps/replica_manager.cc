@@ -33,7 +33,7 @@ void ReplicaManager::Pin(Key k) {
   // sees the flag always finds it (the copy starts absent either way).
   pins_[k] = std::make_unique<Pinned>(layout_->Length(k));
   pinned_[k].store(1, std::memory_order_release);
-  n_pinned_.fetch_add(1, std::memory_order_relaxed);
+  live_.pinned.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ReplicaManager::Unpin(Key k, Val* pending) {
@@ -46,8 +46,8 @@ bool ReplicaManager::Unpin(Key k, Val* pending) {
   pinned_[k].store(0, std::memory_order_release);
   install_ns_[k].store(kAbsent, std::memory_order_release);
   pins_[k].reset();
-  n_pinned_.fetch_sub(1, std::memory_order_relaxed);
-  n_unpins_.fetch_add(1, std::memory_order_relaxed);
+  live_.pinned.fetch_sub(1, std::memory_order_relaxed);
+  live_.unpins.fetch_add(1, std::memory_order_relaxed);
   return had_folds;
 }
 
@@ -56,7 +56,7 @@ bool ReplicaManager::TryRead(Key k, Val* dst) {
   const int64_t now = NowNanos();
   const int64_t tag = install_ns_[k].load(std::memory_order_acquire);
   if (tag == kAbsent || now - tag > staleness_ns_) {
-    n_stale_misses_.fetch_add(1, std::memory_order_relaxed);
+    live_.stale_misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   LatchGuard latch(latches_.ForKey(k));
@@ -64,7 +64,7 @@ bool ReplicaManager::TryRead(Key k, Val* dst) {
   // the race since the lock-free check.
   const int64_t tag2 = install_ns_[k].load(std::memory_order_acquire);
   if (tag2 == kAbsent || now - tag2 > staleness_ns_) {
-    n_stale_misses_.fetch_add(1, std::memory_order_relaxed);
+    live_.stale_misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   std::memcpy(dst, pins_[k]->copy.data(), layout_->Length(k) * sizeof(Val));
@@ -90,7 +90,7 @@ bool ReplicaManager::Install(Key k, const Val* snapshot, int64_t issue_ns,
     // the copy keeps this node's own unflushed writes.
     for (size_t i = 0; i < len; ++i) p->copy[i] = snapshot[i] + p->acc[i];
     install_ns_[k].store(NowNanos(), std::memory_order_release);
-    n_installs_.fetch_add(1, std::memory_order_relaxed);
+    live_.installs.fetch_add(1, std::memory_order_relaxed);
     answer = p->copy.data();
   }
   if (out != nullptr) std::memcpy(out, answer, len * sizeof(Val));
@@ -119,7 +119,7 @@ ReplicaManager::FoldOutcome ReplicaManager::FoldWrite(Key k,
   if (install_ns_[k].load(std::memory_order_acquire) != kAbsent) {
     for (size_t i = 0; i < len; ++i) p->copy[i] += update[i];
   }
-  n_folds_.fetch_add(1, std::memory_order_relaxed);
+  live_.folds.fetch_add(1, std::memory_order_relaxed);
   if (++p->folds == 1) {
     MutexLock lock(dirty_mu_);
     dirty_.push_back(k);
@@ -158,8 +158,8 @@ size_t ReplicaManager::DrainDirty(std::vector<Key>* keys,
     keys->push_back(k);
     ++drained;
   }
-  n_flushed_keys_.fetch_add(static_cast<int64_t>(drained),
-                            std::memory_order_relaxed);
+  live_.flushed_keys.fetch_add(static_cast<int64_t>(drained),
+                               std::memory_order_relaxed);
   return drained;
 }
 
@@ -168,7 +168,7 @@ bool ReplicaManager::DrainKey(Key k, Val* out) {
   LatchGuard guard(latch);
   Pinned* p = pins_[k].get();
   if (p == nullptr || !TakeFoldsLocked(k, *p, latch, out)) return false;
-  n_flushed_keys_.fetch_add(1, std::memory_order_relaxed);
+  live_.flushed_keys.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -211,20 +211,8 @@ void ReplicaManager::Invalidate(Key k) {
   LatchGuard latch(latches_.ForKey(k));
   if (install_ns_[k].exchange(kAbsent, std::memory_order_acq_rel) !=
       kAbsent) {
-    n_invalidations_.fetch_add(1, std::memory_order_relaxed);
+    live_.invalidations.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-ReplicaManagerStats ReplicaManager::stats() const {
-  ReplicaManagerStats s;
-  s.pinned = n_pinned_.load(std::memory_order_relaxed);
-  s.stale_misses = n_stale_misses_.load(std::memory_order_relaxed);
-  s.installs = n_installs_.load(std::memory_order_relaxed);
-  s.invalidations = n_invalidations_.load(std::memory_order_relaxed);
-  s.folds = n_folds_.load(std::memory_order_relaxed);
-  s.flushed_keys = n_flushed_keys_.load(std::memory_order_relaxed);
-  s.unpins = n_unpins_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace ps

@@ -10,21 +10,35 @@
 #include "obs/histogram.h"
 #include "ps/key_layout.h"
 #include "ps/latch_table.h"
+#include "util/stats.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
 namespace lapse {
 namespace ps {
 
-// Monitoring counters of one node's replica manager.
+// The counters of one node's replica manager, X(name, kind). Workers and
+// drain threads write them (atomic adds); the registry names them
+// node{n}.replica.<name>.
+#define LAPSE_REPLICA_MANAGER_STATS(X)                     \
+  /* Keys currently pinned for replication. */             \
+  X(pinned, kLevel)                                        \
+  /* Pinned reads that found no fresh copy. */             \
+  X(stale_misses, kCumulative)                             \
+  /* Fresh owner copies installed (pull-through). */       \
+  X(installs, kCumulative)                                 \
+  /* Copies dropped because ownership moved. */            \
+  X(invalidations, kCumulative)                            \
+  /* Pushes aggregated locally (no owner message). */      \
+  X(folds, kCumulative)                                    \
+  /* Accumulators drained toward the owner. */             \
+  X(flushed_keys, kCumulative)                             \
+  /* Pins dropped (manual or policy-driven). */            \
+  X(unpins, kCumulative)
+
+// A snapshot of one node's replica-manager counters.
 struct ReplicaManagerStats {
-  int64_t pinned = 0;         // keys currently pinned for replication
-  int64_t stale_misses = 0;   // pinned reads that found no fresh copy
-  int64_t installs = 0;       // fresh owner copies installed (pull-through)
-  int64_t invalidations = 0;  // copies dropped because ownership moved
-  int64_t folds = 0;          // pushes aggregated locally (no owner message)
-  int64_t flushed_keys = 0;   // accumulators drained toward the owner
-  int64_t unpins = 0;         // pins dropped (manual or policy-driven)
+  LAPSE_STAT_INT64_STRUCT(LAPSE_REPLICA_MANAGER_STATS)
 };
 
 // Per-node replica store for contended read-mostly keys (the keys the
@@ -192,7 +206,11 @@ class ReplicaManager {
   // this, so an invalidation never loses aggregated updates.
   void Invalidate(Key k);
 
-  ReplicaManagerStats stats() const;
+  ReplicaManagerStats stats() const {
+    return LoadStats<ReplicaManagerStats>(live_);
+  }
+  // Zeroes the cumulative counters; `pinned` keeps counting the pins.
+  void ResetStats() { ResetCumulative<ReplicaManagerStats>(live_); }
 
   int64_t staleness_nanos() const { return staleness_ns_; }
 
@@ -261,14 +279,9 @@ class ReplicaManager {
   size_t n_dirty_ LAPSE_GUARDED_BY(dirty_mu_) = 0;
   std::atomic<int64_t> oldest_fold_ns_{kAbsent};
 
-  std::atomic<int64_t> n_pinned_{0};
-  std::atomic<int64_t> n_stale_misses_{0};
-  std::atomic<int64_t> n_installs_{0};
-  std::atomic<int64_t> n_invalidations_{0};
-  std::atomic<int64_t> n_folds_{0};
-  std::atomic<int64_t> n_flushed_keys_{0};
-  std::atomic<int64_t> n_unpins_{0};
-  // Appended at the end per the ServerStats counter rules.
+  struct LiveStats {
+    LAPSE_REPLICA_MANAGER_STATS(LAPSE_STAT_ATOMIC)
+  } live_;
   std::atomic<obs::Histogram*> read_age_hist_{nullptr};
 };
 

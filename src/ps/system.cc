@@ -18,6 +18,13 @@ KeyLayout MakeLayout(const Config& config) {
                    config.num_nodes, config.server_threads);
 }
 
+// The backlog counter of message type t, as a PsSystem::Sum field.
+auto Backlog(net::MsgType t) {
+  return [t](const ServerStats& s) -> const Counter& {
+    return s.backlog_ns[static_cast<size_t>(t)];
+  };
+}
+
 }  // namespace
 
 PsSystem::PsSystem(Config config)
@@ -73,13 +80,13 @@ PsSystem::PsSystem(Config config)
     }
     nodes_.push_back(std::move(ctx));
   }
-  if (config_.obs.enabled) {
+  if (config_.obs.sample_every > 0) {
     // Before the servers: they grab their trace ring in their constructor.
     // Ring slots per node: 0 = shard-0 server, 1..W = workers, W+1 = the
     // placement manager's protocol worker, W+2.. = server shards 1..S-1.
     obs_ = std::make_unique<obs::Observability>(
         config_.obs, config_.num_nodes,
-        config_.workers_per_node + 2 + (num_shards - 1));
+        config_.workers_per_node + 2 + (num_shards - 1), &registry_);
     for (NodeId n = 0; n < config_.num_nodes; ++n) {
       nodes_[n]->obs = obs_->NodeRings(n);
       // Every (node, shard) drain thread samples its own inbox's depth on
@@ -115,23 +122,21 @@ PsSystem::PsSystem(Config config)
           nodes_[n].get(), &network_));
     }
   }
+  RegisterMetrics();
   if (obs_ != nullptr) {
     for (auto& m : managers_) m->SetTickHistogram(&obs_->AdaptTick());
-    RegisterMetrics();
     obs_->Start();
   }
 }
 
 PsSystem::~PsSystem() {
-  if (obs_ != nullptr) {
-    // Final drain + auto-export while every counter and ring still lives.
-    obs_->Stop();
-    if (!config_.obs.metrics_json_path.empty()) {
-      obs_->WriteMetricsJson(config_.obs.metrics_json_path);
-    }
-    if (!config_.obs.trace_path.empty()) {
-      obs_->WriteChromeTrace(config_.obs.trace_path);
-    }
+  // Final drain + auto-export while every counter and ring still lives.
+  if (obs_ != nullptr) obs_->Stop();
+  if (!config_.obs.metrics_json_path.empty()) {
+    registry_.WriteJson(config_.obs.metrics_json_path);
+  }
+  if (obs_ != nullptr && !config_.obs.trace_path.empty()) {
+    obs_->WriteChromeTrace(config_.obs.trace_path);
   }
   // Managers first: stopping them drains their in-flight relocations,
   // which needs the servers still running.
@@ -141,9 +146,8 @@ PsSystem::~PsSystem() {
 }
 
 bool PsSystem::DumpMetrics(const std::string& path) {
-  if (obs_ == nullptr) return false;
-  obs_->Flush();
-  return obs_->WriteMetricsJson(path);
+  if (obs_ != nullptr) obs_->Flush();
+  return registry_.WriteJson(path);
 }
 
 bool PsSystem::DumpTrace(const std::string& path) {
@@ -153,82 +157,48 @@ bool PsSystem::DumpTrace(const std::string& path) {
 }
 
 void PsSystem::RegisterMetrics() {
-  obs::MetricsRegistry& reg = obs_->registry();
   for (NodeId n = 0; n < config_.num_nodes; ++n) {
+    NodeContext& ctx = *nodes_[n];
     const std::string p = "node" + std::to_string(n) + ".";
-    // Worker-written fields stay node-level (all of the node's workers
-    // share one ServerStats)...
-    ServerStats& s = nodes_[n]->stats;
-    reg.AddCounter(p + "local_key_reads", &s.local_key_reads);
-    reg.AddCounter(p + "remote_key_reads", &s.remote_key_reads);
-    reg.AddCounter(p + "local_key_writes", &s.local_key_writes);
-    reg.AddCounter(p + "remote_key_writes", &s.remote_key_writes);
-    reg.AddCounter(p + "queued_local_ops", &s.queued_local_ops);
-    reg.AddCounter(p + "replica_key_reads", &s.replica_key_reads);
-    reg.AddCounter(p + "replica_key_writes", &s.replica_key_writes);
-    reg.AddCounter(p + "coalesced_ops", &s.coalesced_ops);
-    reg.AddCounter(p + "coalesce_batches", &s.coalesce_batches);
-    reg.AddCounter(p + "coalesce_forced_drains", &s.coalesce_forced_drains);
-    // ...while server-written fields are per drain thread, registered under
-    // node{n}.shard{s}.* so no shard's work is double-counted or sampled
-    // only through shard 0. The per-message-type backlog counters: count =
-    // messages, sum = total delivery-to-processing lag (ns).
-    for (size_t sh = 0; sh < nodes_[n]->shard_stats.size(); ++sh) {
-      const std::string sp = p + "shard" + std::to_string(sh) + ".";
-      ServerStats& ss = nodes_[n]->shard_stats[sh];
-      reg.AddCounter(sp + "relocations", &ss.relocations);
-      reg.AddCounter(sp + "localization_conflicts",
-                     &ss.localization_conflicts);
-      reg.AddCounter(sp + "evictions_received", &ss.evictions_received);
-      reg.AddCounter(sp + "replica_unregisters", &ss.replica_unregisters);
-      for (size_t t = 0; t < static_cast<size_t>(net::MsgType::kNumTypes);
-           ++t) {
-        reg.AddCounter(sp + "backlog_ns." +
-                           net::MsgTypeName(static_cast<net::MsgType>(t)),
-                       &ss.backlog_ns[t]);
+    // A field's writer picks the copy and the name: the node's workers
+    // share one ServerStats, while each drain thread has its own, so no
+    // shard's work is double-counted or sampled only through shard 0.
+    auto add = [this](const std::string& name, const auto& field) {
+      ForEachCounter(field, [&](const std::string& suffix, const Counter& c) {
+        registry_.AddCounter(name + suffix, &c);
+      });
+    };
+    ServerStats::ForEachField([&](const char* name, auto get,
+                                  StatWriter writer) {
+      if (writer == StatWriter::kWorker) {
+        add(p + name, get(ctx.stats));
+        return;
       }
-    }
-    if (nodes_[n]->replicas) {
-      ReplicaManager* rm = nodes_[n]->replicas.get();
-      reg.AddGauge(p + "replica.pinned",
-                   [rm] { return rm->stats().pinned; });
-      reg.AddGauge(p + "replica.stale_misses",
-                   [rm] { return rm->stats().stale_misses; });
-      reg.AddGauge(p + "replica.installs",
-                   [rm] { return rm->stats().installs; });
-      reg.AddGauge(p + "replica.invalidations",
-                   [rm] { return rm->stats().invalidations; });
-      reg.AddGauge(p + "replica.folds", [rm] { return rm->stats().folds; });
-      reg.AddGauge(p + "replica.flushed_keys",
-                   [rm] { return rm->stats().flushed_keys; });
-      reg.AddGauge(p + "replica.unpins",
-                   [rm] { return rm->stats().unpins; });
+      for (size_t s = 0; s < ctx.shard_stats.size(); ++s) {
+        add(p + "shard" + std::to_string(s) + "." + name,
+            get(ctx.shard_stats[s]));
+      }
+    });
+    if (ReplicaManager* rm = ctx.replicas.get()) {
+      ReplicaManagerStats::ForEachField(
+          [&](const char* name, auto get, StatKind) {
+            registry_.AddGauge(p + "replica." + name,
+                               [rm, get] { return get(rm->stats()); });
+          });
     }
   }
   for (auto& mp : managers_) {
     adapt::PlacementManager* m = mp.get();
     const std::string p = "node" + std::to_string(m->node()) + ".adapt.";
-    reg.AddGauge(p + "ticks", [m] { return m->stats().ticks; });
-    reg.AddGauge(p + "samples", [m] { return m->stats().samples; });
-    reg.AddGauge(p + "dropped_samples",
-                 [m] { return m->stats().dropped_samples; });
-    reg.AddGauge(p + "localizes_issued",
-                 [m] { return m->stats().localizes_issued; });
-    reg.AddGauge(p + "evictions_issued",
-                 [m] { return m->stats().evictions_issued; });
-    reg.AddGauge(p + "replication_flags",
-                 [m] { return m->stats().replication_flags; });
-    reg.AddGauge(p + "replicas_pinned",
-                 [m] { return m->stats().replicas_pinned; });
-    reg.AddGauge(p + "replicas_unpinned",
-                 [m] { return m->stats().replicas_unpinned; });
+    adapt::AdaptStats::ForEachField([&](const char* name, auto get, StatKind) {
+      registry_.AddGauge(p + name, [m, get] { return get(m->stats()); });
+    });
   }
-  net::NetStats* ns = &network_.stats();
-  reg.AddGauge("net.total_messages", [ns] { return ns->total_messages(); });
-  reg.AddGauge("net.total_bytes", [ns] { return ns->total_bytes(); });
-  reg.AddGauge("net.remote_messages",
-               [ns] { return ns->remote_messages(); });
-  reg.AddGauge("net.local_messages", [ns] { return ns->local_messages(); });
+  const net::NetStats* ns = &network_.stats();
+  net::NetStats::ForEachTotal([&](const char* name, auto get) {
+    registry_.AddGauge(std::string("net.") + name,
+                       [ns, get] { return get(*ns); });
+  });
 }
 
 void PsSystem::SetReplicationHook(
@@ -295,115 +265,21 @@ NodeId PsSystem::OwnerOf(Key k) const {
   return nodes_[layout_.Home(k)]->owners->Owner(k);
 }
 
-int64_t PsSystem::TotalLocalReads() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.local_key_reads.sum();
-  return total;
-}
-
-int64_t PsSystem::TotalReplicaReads() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.replica_key_reads.sum();
-  return total;
-}
-
-int64_t PsSystem::TotalReplicaWrites() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.replica_key_writes.sum();
-  return total;
-}
-
-int64_t PsSystem::TotalRemoteReads() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.remote_key_reads.sum();
-  return total;
-}
-
-int64_t PsSystem::TotalLocalWrites() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.local_key_writes.sum();
-  return total;
-}
-
-int64_t PsSystem::TotalRemoteWrites() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) total += n->stats.remote_key_writes.sum();
-  return total;
-}
-
-int64_t PsSystem::TotalRelocatedKeys() const {
-  int64_t total = 0;
-  for (const auto& n : nodes_) {
-    for (const auto& ss : n->shard_stats) total += ss.relocations.count();
-  }
-  return total;
-}
-
-double PsSystem::MeanRelocationNs() const {
-  int64_t count = 0, sum = 0;
-  for (const auto& n : nodes_) {
-    for (const auto& ss : n->shard_stats) {
-      count += ss.relocations.count();
-      sum += ss.relocations.sum();
-    }
-  }
-  return count == 0 ? 0.0
-                    : static_cast<double>(sum) / static_cast<double>(count);
-}
-
-int64_t PsSystem::NodeRelocatedKeys(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.relocations.count();
-  }
-  return total;
-}
-
-int64_t PsSystem::NodeLocalizationConflicts(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.localization_conflicts.count();
-  }
-  return total;
-}
-
-int64_t PsSystem::NodeEvictionsReceived(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.evictions_received.count();
-  }
-  return total;
-}
-
-int64_t PsSystem::NodeReplicaUnregisters(NodeId n) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.replica_unregisters.count();
-  }
-  return total;
-}
-
 int64_t PsSystem::NodeBacklogCount(NodeId n, net::MsgType t) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.backlog_ns[static_cast<size_t>(t)].count();
-  }
-  return total;
+  return Sum(Backlog(t), n).count;
 }
 
 int64_t PsSystem::NodeBacklogSumNs(NodeId n, net::MsgType t) const {
-  int64_t total = 0;
-  for (const auto& ss : nodes_[n]->shard_stats) {
-    total += ss.backlog_ns[static_cast<size_t>(t)].sum();
-  }
-  return total;
+  return Sum(Backlog(t), n).sum;
 }
 
 void PsSystem::ResetStats() {
   for (auto& n : nodes_) {
     n->stats.Reset();
     for (auto& ss : n->shard_stats) ss.Reset();
+    if (n->replicas != nullptr) n->replicas->ResetStats();
   }
+  for (auto& m : managers_) m->ResetStats();
   network_.stats().Reset();
 }
 

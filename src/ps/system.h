@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -72,10 +73,9 @@ class PsSystem {
   const Config& config() const { return config_; }
   const KeyLayout& layout() const { return layout_; }
   net::NetStats& net_stats() { return network_.stats(); }
-  // Node-level stats: the worker-written fields (local/remote reads and
-  // writes, queued ops, replica reads/writes; exact between two barriers
-  // and after Run, see the RULES above ServerStats). Server-written fields
-  // live in shard_stats(n, s); use the Node* aggregation helpers below.
+  // Node-level stats: the kWorker fields (exact between two barriers and
+  // after Run, see the RULES above ServerStats). kShard fields live in
+  // shard_stats(n, s); Sum adds up either kind.
   ServerStats& node_stats(NodeId n) { return nodes_[n]->stats; }
   // Per-shard stats written by shard s's drain thread of node n.
   ServerStats& shard_stats(NodeId n, int s) {
@@ -83,11 +83,36 @@ class PsSystem {
   }
   NodeContext& node_context(NodeId n) { return *nodes_[n]; }
 
-  // Server-written fields aggregated over node n's shards.
-  int64_t NodeRelocatedKeys(NodeId n) const;
-  int64_t NodeLocalizationConflicts(NodeId n) const;
-  int64_t NodeEvictionsReceived(NodeId n) const;
-  int64_t NodeReplicaUnregisters(NodeId n) const;
+  static constexpr NodeId kAllNodes = -1;
+  // Count and sum of one ServerStats counter over node n, or over every
+  // node for kAllNodes. `field` is a member pointer
+  // (&ServerStats::relocations) or a callable from a const ServerStats& to
+  // a const Counter&. It adds up the node's copy and every shard's; only
+  // the copy of the field's writer ever counts.
+  template <typename Field>
+  CounterSum Sum(const Field& field, NodeId n = kAllNodes) const {
+    CounterSum total;
+    for (NodeId i = 0; i < config_.num_nodes; ++i) {
+      if (n != kAllNodes && i != n) continue;
+      total.Add(std::invoke(field, nodes_[i]->stats));
+      for (const ServerStats& ss : nodes_[i]->shard_stats) {
+        total.Add(std::invoke(field, ss));
+      }
+    }
+    return total;
+  }
+  int64_t TotalLocalReads() const {
+    return Sum(&ServerStats::local_key_reads).sum;
+  }
+  int64_t TotalRemoteReads() const {
+    return Sum(&ServerStats::remote_key_reads).sum;
+  }
+  int64_t TotalReplicaReads() const {
+    return Sum(&ServerStats::replica_key_reads).sum;
+  }
+  int64_t NodeLocalizationConflicts(NodeId n) const {
+    return Sum(&ServerStats::localization_conflicts, n).count;
+  }
   int64_t NodeBacklogCount(NodeId n, net::MsgType t) const;
   int64_t NodeBacklogSumNs(NodeId n, net::MsgType t) const;
 
@@ -112,35 +137,30 @@ class PsSystem {
     return nodes_[n]->replicas.get();
   }
 
-  // --- observability (config.obs.enabled) -------------------------------
-  // The collector: per-op timelines, latency histograms, and the metrics
-  // registry. Null when config.obs.enabled is false.
+  // --- observability ----------------------------------------------------
+  // Every field of every stats list under its registry name, plus the
+  // tracing histograms when tracing is on. Filled at construction.
+  obs::MetricsRegistry& metrics() { return registry_; }
+  // Tracing (config.obs.sample_every > 0): per-op timelines and latency
+  // histograms. Null when tracing is off.
   obs::Observability* observability() { return obs_.get(); }
-  // Flushes the collector and writes a registry snapshot as JSON / the
-  // buffered op timelines as a chrome://tracing file. Return false when
-  // observability is off or the file could not be written. Both also
-  // happen automatically at destruction for the paths configured in
-  // ObsConfig.
+  // Write a registry snapshot as JSON / the buffered op timelines as a
+  // chrome://tracing file, after flushing the collector if tracing is on.
+  // Return false when the file could not be written; DumpTrace also when
+  // tracing is off. Both also happen automatically at destruction for the
+  // paths configured in ObsConfig.
   bool DumpMetrics(const std::string& path);
   bool DumpTrace(const std::string& path);
 
-  // Sums a field over all nodes.
-  int64_t TotalLocalReads() const;
-  int64_t TotalReplicaReads() const;
-  int64_t TotalReplicaWrites() const;
-  int64_t TotalRemoteReads() const;
-  int64_t TotalLocalWrites() const;
-  int64_t TotalRemoteWrites() const;
-  int64_t TotalRelocatedKeys() const;
-  double MeanRelocationNs() const;
-
-  // Zeroes every stats struct. Only valid while no worker runs (between
-  // Run calls): a running worker publishes its batched counts later.
+  // Zeroes every cumulative field of every stats list; levels (the
+  // replica managers' pinned keys) keep their value. Only valid while no
+  // worker runs (between Run calls): a running worker publishes its
+  // batched counts later.
   void ResetStats();
 
  private:
-  // Names every live counter/gauge/histogram in obs_'s registry (called
-  // once at construction, after managers exist).
+  // Registers every field of every stats list in registry_ (called once at
+  // construction, after managers exist).
   void RegisterMetrics();
 
   Config config_;
@@ -152,10 +172,11 @@ class PsSystem {
   std::vector<std::thread> server_threads_;
   // Empty unless config.adaptive.enabled. Paused outside Run() phases.
   std::vector<std::unique_ptr<adapt::PlacementManager>> managers_;
-  // Null unless config.obs.enabled. Declared last: its registry reads
-  // counters living in nodes_ and managers_, so it must be destroyed (and
-  // its collector joined) before they are.
+  // Null unless tracing is on.
   std::unique_ptr<obs::Observability> obs_;
+  // Declared last, so it goes first: its entries point into everything
+  // above.
+  obs::MetricsRegistry registry_;
 };
 
 }  // namespace ps

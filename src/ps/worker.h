@@ -299,7 +299,7 @@ class Worker {
   uint32_t sample_period_ = 0;
   uint32_t sample_countdown_ = 0;
   Scratch scratch_;
-  // Per-op timeline tracing (null unless config.obs enables it).
+  // Per-op timeline tracing (null unless tracing is on).
   obs::EventRing* trace_ring_ = nullptr;
   uint32_t trace_period_ = 0;
   uint32_t trace_countdown_ = 0;

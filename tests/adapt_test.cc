@@ -515,7 +515,7 @@ TEST(AdaptiveEngineTest, ColdKeysAreEvictedBackHome) {
   EXPECT_EQ(system.OwnerOf(hot_then_cold), 1)
       << "engine did not evict the cold key back to its home";
   EXPECT_GT(system.placement_manager(0).stats().evictions_issued, 0);
-  EXPECT_GT(system.NodeEvictionsReceived(1), 0);
+  EXPECT_GT(system.Sum(&ps::ServerStats::evictions_received, 1).count, 0);
 }
 
 TEST(AdaptiveEngineTest, ContendedReadMostlyKeyIsFlaggedAndHookRuns) {
@@ -636,7 +636,7 @@ TEST(LocalizeDedupeTest, DuplicateAndLocalKeysAreSkipped) {
     EXPECT_EQ(w.LocalizeAsync({5, 5, 40}), ps::Worker::kImmediate);
   });
   // One relocation happened, with exactly one localize message.
-  EXPECT_EQ(system.TotalRelocatedKeys(), 1);
+  EXPECT_EQ(system.Sum(&ps::ServerStats::relocations).count, 1);
   EXPECT_EQ(system.net_stats().MessagesOfType(net::MsgType::kLocalize), 1);
   EXPECT_EQ(system.net_stats().MessagesOfType(net::MsgType::kLocalizeNoop),
             0);
@@ -663,7 +663,7 @@ TEST(EvictTest, EvictedKeyReturnsHomeWithValueIntact) {
   system.GetValue(k, buf.data());
   EXPECT_EQ(buf[0], 1.0f);
   EXPECT_EQ(buf[3], 4.0f);
-  EXPECT_EQ(system.NodeEvictionsReceived(1), 1);
+  EXPECT_EQ(system.Sum(&ps::ServerStats::evictions_received, 1).count, 1);
 }
 
 TEST(EvictTest, EvictRacingLocalizeKeepsProtocolAliveAndUpdatesExact) {

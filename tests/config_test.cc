@@ -365,40 +365,46 @@ TEST(ConfigValidationDeathTest, NonPositiveSaturationScoreDies) {
 
 // ---- observability ------------------------------------------------------
 
-TEST(ConfigValidationTest, ObsEnabledWithDefaultsPasses) {
+TEST(ConfigValidationTest, TracingWithDefaultsPasses) {
   ps::Config cfg = ValidConfig();
-  cfg.obs.enabled = true;
+  cfg.obs.sample_every = 64;
   cfg.Normalize();  // must not die
 }
 
 TEST(ConfigValidationDeathTest, ObsTinyRingCapacityDies) {
   ps::Config cfg = ValidConfig();
-  cfg.obs.enabled = true;
+  cfg.obs.sample_every = 64;
   cfg.obs.ring_capacity = 32;
   EXPECT_DEATH(cfg.Normalize(), "ring_capacity");
 }
 
 TEST(ConfigValidationDeathTest, ObsZeroSnapshotPeriodDies) {
   ps::Config cfg = ValidConfig();
-  cfg.obs.enabled = true;
+  cfg.obs.sample_every = 64;
   cfg.obs.snapshot_micros = 0;
   EXPECT_DEATH(cfg.Normalize(), "snapshot_micros");
 }
 
 TEST(ConfigValidationDeathTest, ObsZeroTraceBufferDies) {
   ps::Config cfg = ValidConfig();
-  cfg.obs.enabled = true;
+  cfg.obs.sample_every = 64;
   cfg.obs.max_trace_records = 0;
   EXPECT_DEATH(cfg.Normalize(), "max_trace_records");
 }
 
-TEST(ConfigValidationDeathTest, ObsExportPathsRequireEnabledObs) {
-  // A configured export path with the layer off would silently write
-  // nothing -- reject it instead of surprising the user at shutdown.
+TEST(ConfigValidationDeathTest, ObsTracePathRequiresTracing) {
+  // A trace path with tracing off would silently write nothing -- reject
+  // it instead of surprising the user at shutdown.
   ps::Config cfg = ValidConfig();
-  cfg.obs.enabled = false;
+  cfg.obs.trace_path = "trace.json";
+  EXPECT_DEATH(cfg.Normalize(), "trace_path");
+}
+
+TEST(ConfigValidationTest, ObsMetricsPathWithoutTracingPasses) {
+  // The registry is always on, so there is always a snapshot to write.
+  ps::Config cfg = ValidConfig();
   cfg.obs.metrics_json_path = "metrics.json";
-  EXPECT_DEATH(cfg.Normalize(), "export paths");
+  cfg.Normalize();  // must not die
 }
 
 // ---- stale (bounded-staleness) PS --------------------------------------

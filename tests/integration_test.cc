@@ -93,7 +93,7 @@ TEST(IntegrationTest, KgePipelineUnderLatency) {
   InitKgeParams(system, kg, cfg);
   const auto results = TrainKge(system, kg, cfg);
   EXPECT_GT(results[0].seconds, 0.0);
-  EXPECT_GT(system.TotalRelocatedKeys(), 0);
+  EXPECT_GT(system.Sum(&ps::ServerStats::relocations).count, 0);
 }
 
 TEST(IntegrationTest, W2vPipelineUnderLatency) {
@@ -178,7 +178,7 @@ TEST(IntegrationTest, RelocationRateMatchesWorkload) {
   ps::PsSystem system(pscfg);
   InitKgeParams(system, kg, cfg);
   TrainKge(system, kg, cfg);
-  EXPECT_GT(system.TotalRelocatedKeys(), 100);
+  EXPECT_GT(system.Sum(&ps::ServerStats::relocations).count, 100);
   EXPECT_GT(system.TotalLocalReads(), system.TotalRemoteReads());
 }
 
@@ -201,7 +201,7 @@ TEST(IntegrationTest, SingleNodeDegeneratesToLocalOnly) {
   InitW2vParams(system, corpus, cfg);
   TrainW2v(system, corpus, cfg);
   EXPECT_EQ(system.TotalRemoteReads(), 0);
-  EXPECT_EQ(system.TotalRemoteWrites(), 0);
+  EXPECT_EQ(system.Sum(&ps::ServerStats::remote_key_writes).sum, 0);
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ TEST(DsgdLapseTest, AllAccessesLocalWithBlocking) {
   InitFactorsPs(system, m, cfg);
   TrainDsgdOnPs(system, m, cfg);
   EXPECT_EQ(system.TotalRemoteReads(), 0);
-  EXPECT_EQ(system.TotalRemoteWrites(), 0);
+  EXPECT_EQ(system.Sum(&ps::ServerStats::remote_key_writes).sum, 0);
   EXPECT_GT(system.TotalLocalReads(), 0);
 }
 

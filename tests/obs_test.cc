@@ -5,8 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -227,7 +231,6 @@ ps::Config ObsConfigFor(int num_nodes) {
   cfg.num_keys = 64;
   cfg.uniform_value_length = 4;
   cfg.arch = ps::Architecture::kLapse;
-  cfg.obs.enabled = true;
   cfg.obs.sample_every = 1;  // trace every op: the test needs determinism
   cfg.obs.snapshot_micros = 200;
   return cfg;
@@ -278,7 +281,7 @@ TEST(ObservabilityEndToEndTest, SampledOpsFinalizeWithPhases) {
       obs->PhaseDuration(obs::Phase::kQueue).Summarize();
   EXPECT_GT(queue.count, 0);
   // The registry names the core serving counters of every node.
-  const obs::MetricsSnapshot snap = obs->registry().Snapshot();
+  const obs::MetricsSnapshot snap = system.metrics().Snapshot();
   bool found_local_reads = false, found_backlog = false;
   for (const auto& cv : snap.counters) {
     if (cv.name == "node0.local_key_reads") found_local_reads = true;
@@ -323,18 +326,30 @@ TEST(ObservabilityEndToEndTest, JsonAndTraceExportsAreWellFormed) {
   std::remove(trace_path.c_str());
 }
 
-TEST(ObservabilityEndToEndTest, DisabledObsCostsNothingAndExportsNothing) {
+TEST(ObservabilityEndToEndTest, TracingOffStillExportsMetrics) {
   ps::Config cfg = ObsConfigFor(2);
-  cfg.obs = obs::ObsConfig{};  // default: disabled
+  cfg.obs = obs::ObsConfig{};  // default: tracing off
+  const std::string metrics_path = "obs_test_untraced_metrics.json";
+  const std::string trace_path = "obs_test_untraced_trace.json";
   ps::PsSystem system(cfg);
   system.Run([](ps::Worker& w) {
     std::vector<Val> buf(4);
     for (Key k = 0; k < 64; ++k) w.Pull({k}, buf.data());
   });
+  // No collector, rings or histograms, and so no trace.
   EXPECT_EQ(system.observability(), nullptr);
-  EXPECT_FALSE(system.DumpMetrics("should_not_exist.json"));
-  std::ifstream f("should_not_exist.json");
-  EXPECT_FALSE(f.good());
+  EXPECT_FALSE(system.DumpTrace(trace_path));
+  std::ifstream tf(trace_path);
+  EXPECT_FALSE(tf.good());
+  // The registry is always on.
+  ASSERT_TRUE(system.DumpMetrics(metrics_path));
+  std::ifstream mf(metrics_path);
+  ASSERT_TRUE(mf.good());
+  std::stringstream ms;
+  ms << mf.rdbuf();
+  EXPECT_NE(ms.str().find("\"node0.local_key_reads\""), std::string::npos);
+  EXPECT_EQ(ms.str().find("obs."), std::string::npos);
+  std::remove(metrics_path.c_str());
 }
 
 TEST(ObservabilityEndToEndTest, CollectorKeepsUpUnderConcurrentLoad) {
@@ -364,6 +379,157 @@ TEST(ObservabilityEndToEndTest, CollectorKeepsUpUnderConcurrentLoad) {
   // message plumbing rather than dropped by an overrun ring.
   if (obs->dropped_events() == 0) {
     EXPECT_EQ(obs->orphaned_ops(), 0);
+  }
+}
+
+// ------------------------------------------------- stats field lists ----
+
+// 2 nodes x 2 shards with replication and the adaptive engine on, so every
+// stats list has live instances; tracing stays off.
+ps::Config StatsConfig() {
+  ps::Config cfg;
+  cfg.num_nodes = 2;
+  cfg.workers_per_node = 1;
+  cfg.server_threads = 2;
+  cfg.num_keys = 64;
+  cfg.uniform_value_length = 4;
+  cfg.arch = ps::Architecture::kLapse;
+  cfg.replication = true;
+  cfg.adaptive.enabled = true;
+  cfg.adaptive.tick_micros = 1'000;
+  return cfg;
+}
+
+// Pins two keys homed at the other node, reads and writes them and some
+// of the node's own keys, localizes one, and returns once the node's
+// placement manager has ticked: every stats list counts something.
+void TouchEveryList(ps::PsSystem& system, ps::Worker& w) {
+  const NodeId other = 1 - w.node();
+  const Key a = system.layout().HomeBegin(other);
+  const Key b = a + 1;
+  const Key own = system.layout().HomeBegin(w.node());
+  std::vector<Val> buf(4);
+  const std::vector<Val> upd(4, 1.0f);
+  w.Replicate({a, b});
+  for (int i = 0; i < 50; ++i) {
+    w.Pull({a}, buf.data());
+    w.Push({b}, upd.data());
+    w.Pull({own}, buf.data());
+  }
+  w.Localize({a + 2});
+  while (system.placement_manager(w.node()).stats().ticks == 0) {
+    std::this_thread::yield();
+  }
+}
+
+// name -> {count, sum} of every registry entry the stats lists call for,
+// read from the live stats (a gauge's value is both). The names of level
+// fields go to `levels` too, if given.
+using StatValues = std::map<std::string, std::pair<int64_t, int64_t>>;
+
+StatValues ListedStats(ps::PsSystem& system,
+                       std::set<std::string>* levels = nullptr) {
+  StatValues out;
+  auto add_int = [&](const std::string& name, int64_t v, StatKind kind) {
+    out[name] = {v, v};
+    if (levels != nullptr && kind == StatKind::kLevel) levels->insert(name);
+  };
+  for (NodeId n = 0; n < system.config().num_nodes; ++n) {
+    const std::string p = "node" + std::to_string(n) + ".";
+    auto add = [&](const std::string& name, const auto& field) {
+      ps::ForEachCounter(field, [&](const std::string& suffix,
+                                    const Counter& c) {
+        out[name + suffix] = {c.count(), c.sum()};
+      });
+    };
+    ps::ServerStats::ForEachField([&](const char* name, auto get,
+                                      ps::StatWriter writer) {
+      if (writer == ps::StatWriter::kWorker) {
+        add(p + name, get(system.node_stats(n)));
+        return;
+      }
+      for (int s = 0; s < system.config().server_threads; ++s) {
+        add(p + "shard" + std::to_string(s) + "." + name,
+            get(system.shard_stats(n, s)));
+      }
+    });
+    const ps::ReplicaManagerStats rs = system.replica_manager(n)->stats();
+    ps::ReplicaManagerStats::ForEachField(
+        [&](const char* name, auto get, StatKind kind) {
+          add_int(p + "replica." + name, get(rs), kind);
+        });
+    const adapt::AdaptStats as = system.placement_manager(n).stats();
+    adapt::AdaptStats::ForEachField(
+        [&](const char* name, auto get, StatKind kind) {
+          add_int(p + "adapt." + name, get(as), kind);
+        });
+  }
+  net::NetStats::ForEachTotal([&](const char* name, auto get) {
+    add_int(std::string("net.") + name, get(system.net_stats()),
+            StatKind::kCumulative);
+  });
+  return out;
+}
+
+TEST(StatsListTest, RegistryNamesEveryListedFieldAndNothingElse) {
+  ps::PsSystem system(StatsConfig());
+  ASSERT_EQ(system.observability(), nullptr);
+  system.Run([&](ps::Worker& w) { TouchEveryList(system, w); });
+
+  const StatValues listed = ListedStats(system);
+  StatValues registered;
+  const obs::MetricsSnapshot snap = system.metrics().Snapshot();
+  for (const auto& c : snap.counters) {
+    EXPECT_TRUE(registered.emplace(c.name, std::make_pair(c.count, c.sum))
+                    .second)
+        << c.name << " is registered twice";
+  }
+  for (const auto& g : snap.gauges) {
+    EXPECT_TRUE(
+        registered.emplace(g.name, std::make_pair(g.value, g.value)).second)
+        << g.name << " is registered twice";
+  }
+  // Tracing is off: no histograms, and every name belongs to a list.
+  EXPECT_TRUE(snap.histograms.empty());
+  for (const auto& [name, value] : listed) {
+    const auto it = registered.find(name);
+    ASSERT_NE(it, registered.end()) << name << " is listed, not registered";
+    EXPECT_EQ(it->second, value) << name << " reads another field";
+  }
+  for (const auto& [name, value] : registered) {
+    EXPECT_EQ(listed.count(name), 1u) << name << " is in no stats list";
+  }
+  // Names the parent registered by hand keep their spelling.
+  for (const char* name :
+       {"node0.local_key_reads", "node1.shard1.relocations",
+        "node0.shard0.backlog_ns.BatchOp", "node1.replica.pinned",
+        "node0.adapt.dropped_samples", "net.total_messages"}) {
+    EXPECT_EQ(registered.count(name), 1u) << name;
+  }
+}
+
+TEST(StatsListTest, ResetStatsZeroesEveryCumulativeFieldAndKeepsLevels) {
+  ps::PsSystem system(StatsConfig());
+  system.Run([&](ps::Worker& w) { TouchEveryList(system, w); });
+
+  std::set<std::string> levels;
+  const StatValues before = ListedStats(system, &levels);
+  EXPECT_EQ(levels, (std::set<std::string>{"node0.replica.pinned",
+                                           "node1.replica.pinned"}));
+  for (const char* name :
+       {"node0.local_key_reads", "node1.replica.installs",
+        "node0.replica.folds", "node1.adapt.ticks", "net.total_messages"}) {
+    EXPECT_GT(before.at(name).first, 0) << name;
+  }
+  for (const std::string& name : levels) EXPECT_GE(before.at(name).first, 2);
+
+  system.ResetStats();
+  for (const auto& [name, value] : ListedStats(system)) {
+    if (levels.count(name) != 0) {
+      EXPECT_EQ(value, before.at(name)) << name;
+    } else {
+      EXPECT_EQ(value, std::make_pair(int64_t{0}, int64_t{0})) << name;
+    }
   }
 }
 

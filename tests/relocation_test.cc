@@ -177,8 +177,8 @@ TEST(RelocationTest, RelocationStatsRecorded) {
   system.Run([&](Worker& w) {
     if (w.node() == 1) w.Localize({0, 1, 2});
   });
-  EXPECT_EQ(system.TotalRelocatedKeys(), 3);
-  EXPECT_GE(system.MeanRelocationNs(), 0.0);
+  EXPECT_EQ(system.Sum(&ps::ServerStats::relocations).count, 3);
+  EXPECT_GE(system.Sum(&ps::ServerStats::relocations).Mean(), 0.0);
 }
 
 TEST(RelocationTest, ConcurrentLocalizeConflict) {

@@ -425,7 +425,7 @@ TEST(ReplicaUnpinPathTest, UnreplicateFlushesShrinksDirectoryAndRelocates) {
   EXPECT_EQ(system.OwnerOf(k), 0);
   EXPECT_EQ(system.replica_manager(0)->stats().invalidations, 0);
   // The home recorded exactly one unregistration.
-  EXPECT_EQ(system.NodeReplicaUnregisters(1), 1);
+  EXPECT_EQ(system.Sum(&ps::ServerStats::replica_unregisters, 1).count, 1);
   std::vector<Val> final(4);
   system.GetValue(k, final.data());
   EXPECT_FLOAT_EQ(final[0], 3.0f);

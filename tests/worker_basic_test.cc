@@ -243,10 +243,11 @@ TEST(WorkerTest, BatchedCountersExactAtBarrierAndAfterRun) {
   auto expect_totals = [&](int64_t tail_pulls, int64_t tail_pushes) {
     EXPECT_EQ(system.TotalLocalReads(),
               kWorkers * (kLocalPulls + 1 + tail_pulls));
-    EXPECT_EQ(system.TotalLocalWrites(),
+    EXPECT_EQ(system.Sum(&ps::ServerStats::local_key_writes).sum,
               kWorkers * (kLocalPushes + 1 + tail_pushes));
     EXPECT_EQ(system.TotalRemoteReads(), kWorkers * kRemotePulls);
-    EXPECT_EQ(system.TotalRemoteWrites(), kWorkers * kRemotePushes);
+    EXPECT_EQ(system.Sum(&ps::ServerStats::remote_key_writes).sum,
+              kWorkers * kRemotePushes);
     for (NodeId n = 0; n < 2; ++n) {
       // Two workers per node, one queued pull and push each.
       EXPECT_EQ(system.node_stats(n).queued_local_ops.sum(), 2 * 2);
@@ -297,7 +298,7 @@ TEST(WorkerTest, BatchedCountersExactAtBarrierAndAfterRun) {
   });
   expect_totals(kTailPulls, kTailPushes);
   EXPECT_EQ(system.TotalReplicaReads(), 0);
-  EXPECT_EQ(system.TotalReplicaWrites(), 0);
+  EXPECT_EQ(system.Sum(&ps::ServerStats::replica_key_writes).sum, 0);
 }
 
 TEST(WorkerTest, SparseStorageBackend) {
