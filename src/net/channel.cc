@@ -47,8 +47,9 @@ void Lane::Push(Message msg) {
   }
   last_deliver_ns_ = msg.deliver_ns;
   tail_block_->slots[tail_pos_++] = std::move(msg);
+  // seq_cst: the sender's half of the parked-flag handshake (Inbox::Put).
   tail_.store(tail_.load(std::memory_order_relaxed) + 1,
-              std::memory_order_release);
+              std::memory_order_seq_cst);
 }
 
 Message& Lane::Front() {
@@ -84,20 +85,22 @@ Inbox::~Inbox() {
 Lane* Inbox::AddLane() {
   Lane* lane = new Lane;
   Lane* head = lane_list_.load(std::memory_order_relaxed);
+  // seq_cst: a parking drain thread's re-check (Arrived) must see a lane
+  // added before a send on it that did not see parked_.
   do {
     lane->next_lane_ = head;
   } while (!lane_list_.compare_exchange_weak(head, lane,
-                                             std::memory_order_release,
+                                             std::memory_order_seq_cst,
                                              std::memory_order_relaxed));
   return lane;
 }
 
 void Inbox::Put(Lane& lane, Message msg) {
+  // The push's tail store and this load are seq_cst, as are Park's store
+  // of parked_ and its re-check's loads: either this load sees parked_, or
+  // the drain thread's re-check sees the push.
   lane.Push(std::move(msg));
-  // Pairs with the fence in Park: either this load sees parked_, or the
-  // drain thread's check after parking sees the push.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_relaxed)) Wake();
+  if (parked_.load(std::memory_order_seq_cst)) Wake();
 }
 
 void Inbox::Put(Message msg) {
@@ -143,7 +146,7 @@ int64_t Inbox::Scan() {
 }
 
 bool Inbox::Arrived() const {
-  if (lane_list_.load(std::memory_order_relaxed) != lanes_seen_) return true;
+  if (lane_list_.load(std::memory_order_seq_cst) != lanes_seen_) return true;
   for (const Lane* l : lanes_) {
     if (l->Grew()) return true;
   }
@@ -216,9 +219,9 @@ bool Inbox::WaitDeliverable(int64_t* due) {
 }
 
 void Inbox::Park(int64_t deadline_ns) {
-  parked_.store(true, std::memory_order_relaxed);
-  // Pairs with the fence in Put(Lane&, Message).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // The handshake with Put(Lane&, Message): this store and Arrived's loads
+  // are seq_cst.
+  parked_.store(true, std::memory_order_seq_cst);
   if (Arrived() || shutdown_.load(std::memory_order_acquire)) {
     parked_.store(false, std::memory_order_relaxed);
     return;

@@ -16,7 +16,7 @@ namespace net {
 // One sender's connection into one Inbox: an unbounded FIFO of messages in
 // fixed-size blocks, with a single producer (whichever endpoint currently
 // holds the sender's thread slot) and a single consumer (the inbox's drain
-// thread). A push writes one block slot and publishes it with one release
+// thread). A push writes one block slot and publishes it with one seq_cst
 // store of tail_; it takes no lock and executes no read-modify-write. The
 // drain thread hands each finished block back through spare_, so a lane
 // whose drain thread keeps within a block of it allocates nothing.
@@ -57,8 +57,10 @@ class Lane {
     return head_ != seen_tail_;
   }
   // Consumer: whether messages were published since the last Refresh.
+  // seq_cst: Inbox::Park's re-check is one half of the parked-flag
+  // handshake (a plain load on x86).
   bool Grew() const {
-    return tail_.load(std::memory_order_relaxed) != seen_tail_;
+    return tail_.load(std::memory_order_seq_cst) != seen_tail_;
   }
   bool Empty() const { return head_ == seen_tail_; }
   // Consumer: the oldest untaken message; requires !Empty().
@@ -103,8 +105,9 @@ class Lane {
 // lane, the clamp keeps a lane's delivery times non-decreasing, and the
 // drain thread only ever takes a lane's oldest message.
 //
-// A send costs the lane push plus one fence and one load of the parked flag
-// (a line the drain thread writes only when it parks or wakes). It shares
+// A send costs the lane push (its seq_cst tail store is the one locked
+// instruction) and one load of the parked flag (a line the drain thread
+// writes only when it parks or wakes). It shares
 // no mutex, counter or queue with other senders, so concurrent senders to
 // one inbox never wait on each other or on the drain thread. The drain
 // thread spins while idle, then parks on a condition variable; only then

@@ -3,7 +3,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <variant>
+#include <vector>
 
 #include "net/message.h"
 #include "ps/key_layout.h"
@@ -12,6 +15,46 @@
 
 namespace lapse {
 namespace ps {
+
+// A local worker operation deferred because its key is currently arriving.
+struct DeferredLocalOp {
+  bool is_push = false;
+  Val* pull_dst = nullptr;        // for pulls
+  std::vector<Val> push_update;   // for pushes (copied)
+  int32_t worker_thread = -1;     // issuing worker slot
+  uint64_t op_id = 0;
+  // Observability: the op is traced; queued_ns (set only then) is when the
+  // item entered the arrival queue, so the drain can attribute the
+  // relocation stall.
+  bool traced = false;
+  int64_t queued_ns = 0;
+};
+
+// Items queued for an arriving key, in arrival order: local ops, remote
+// ones (one-entry kBatchOp envelopes), and relocation instructions (a
+// chained localize that must transfer the key away once it lands).
+using Deferred = std::variant<DeferredLocalOp, net::Message>;
+
+// What waits for one key's relocation to land. Records sit in short
+// per-latch-slot lists (LatchTable::ArrivalsAt, through
+// NodeContext::ArrivalFor) and are reused: a record drained by
+// Server::DrainArrived goes free with its buffers' capacity, for the next
+// key of that latch slot.
+struct ArrivingKey {
+  Key key = 0;
+  bool active = false;  // holds `key`'s items; free for reuse otherwise
+  std::vector<Deferred> queue;
+  // Localize ops of this node's own workers issued while the key was
+  // already in flight; coalesced onto the pending relocation instead of
+  // re-sending. Completed when the transfer arrives.
+  struct LocalizeWaiter {
+    int32_t thread = -1;
+    uint64_t op_id = 0;
+    bool traced = false;      // observability: record stall + completion
+    int64_t queued_ns = 0;    // set only when traced
+  };
+  std::vector<LocalizeWaiter> localize_waiters;
+};
 
 // Tiny test-and-set spinlock (BasicLockable; lock with LatchGuard below so
 // the thread-safety analysis sees the acquisition). Latches guard
@@ -77,6 +120,9 @@ class LAPSE_SCOPED_CAPABILITY LatchGuard {
 // requested size up to the next power of two so the per-access latch lookup
 // is a mask instead of a 64-bit division.
 //
+// Each slot also holds the arrival records (ArrivingKey) of the keys it
+// guards, in the padding of the latch's cache line.
+//
 // With a sharded server (layout->num_shards() > 1) the pool is partitioned
 // by shard: keys of different shards never share a latch, so concurrent
 // shard drain threads cannot contend on (or deadlock through) each other's
@@ -94,6 +140,11 @@ class LatchTable {
 
   Latch& ForKey(Key k) { return slots_[IndexOf(k)].mu; }
   Latch& ByIndex(size_t i) { return slots_[i].mu; }
+
+  // Arrival records of the keys that latch slot i guards, read and written
+  // only under that latch (NodeContext::ArrivalFor). Mostly empty or one
+  // record long; tables that guard no relocations leave them empty.
+  std::vector<ArrivingKey>& ArrivalsAt(size_t i) { return slots_[i].arrivals; }
 
   // Index of the latch guarding key k; exposed so callers that lock several
   // keys can deduplicate/order latch acquisitions to avoid deadlock. Inline:
@@ -113,6 +164,7 @@ class LatchTable {
  private:
   struct alignas(64) Slot {
     Latch mu;
+    std::vector<ArrivingKey> arrivals;  // in the line's padding
   };
 
   size_t num_latches_;       // total slots; per-shard count is a power of two

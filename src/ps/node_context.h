@@ -7,8 +7,6 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "adapt/access_stats.h"
@@ -24,8 +22,6 @@
 #include "ps/replica_manager.h"
 #include "ps/storage.h"
 #include "util/stats.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace lapse {
 namespace ps {
@@ -39,39 +35,6 @@ enum class KeyState : uint8_t {
   // A relocation to this node is in flight; operations are queued
   // (Section 3.2) until the transfer arrives.
   kArriving = 2,
-};
-
-// A local worker operation deferred because its key is currently arriving.
-struct DeferredLocalOp {
-  bool is_push = false;
-  Val* pull_dst = nullptr;        // for pulls
-  std::vector<Val> push_update;   // for pushes (copied)
-  int32_t worker_thread = -1;     // issuing worker slot
-  uint64_t op_id = 0;
-  // Observability: the op is traced; queued_ns (set only then) is when the
-  // item entered the arrival queue, so the drain can attribute the
-  // relocation stall.
-  bool traced = false;
-  int64_t queued_ns = 0;
-};
-
-// Items queued for an arriving key, in arrival order: local ops, remote
-// ones (one-entry kBatchOp envelopes), and relocation instructions (a
-// chained localize that must transfer the key away once it lands).
-using Deferred = std::variant<DeferredLocalOp, net::Message>;
-
-struct ArrivingKey {
-  std::vector<Deferred> queue;
-  // Localize ops of this node's own workers issued while the key was
-  // already in flight; coalesced onto the pending relocation instead of
-  // re-sending. Completed when the transfer arrives.
-  struct LocalizeWaiter {
-    int32_t thread = -1;
-    uint64_t op_id = 0;
-    bool traced = false;      // observability: record stall + completion
-    int64_t queued_ns = 0;    // set only when traced
-  };
-  std::vector<LocalizeWaiter> localize_waiters;
 };
 
 // Which threads write a ServerStats field, and so which copy counts it and
@@ -224,18 +187,6 @@ struct NodeContext {
   obs::Histogram* coalesce_batch_size_hist = nullptr;
   obs::Histogram* coalesce_wait_ns_hist = nullptr;
 
-  // Sharded by key to keep worker queueing and server draining off one
-  // mutex.
-  static constexpr size_t kArrivingShards = 16;
-  struct ArrivingShard {
-    Mutex mu;
-    std::unordered_map<Key, ArrivingKey> map LAPSE_GUARDED_BY(mu);
-  };
-  ArrivingShard arriving_shards[kArrivingShards];
-  ArrivingShard& ArrivingShardFor(Key k) {
-    return arriving_shards[k % kArrivingShards];
-  }
-
   // One tracker per worker slot (index 0 unused; workers use slots >= 1).
   std::vector<std::unique_ptr<OpTracker>> trackers;
 
@@ -262,12 +213,35 @@ struct NodeContext {
 
   OpTracker& TrackerFor(int32_t thread) { return *trackers[thread]; }
 
+  // Key k's arrival record, or null if nothing waits for k. Caller must
+  // hold k's latch, which guards its latch slot's records.
+  ArrivingKey* FindArriving(Key k) {
+    for (ArrivingKey& r : latches->ArrivalsAt(latches->IndexOf(k))) {
+      if (r.active && r.key == k) return &r;
+    }
+    return nullptr;
+  }
+
+  // Key k's arrival record, claiming a free one of its latch slot (or
+  // adding one) if k has none. Caller must hold k's latch.
+  ArrivingKey& ArrivalFor(Key k) {
+    std::vector<ArrivingKey>& list =
+        latches->ArrivalsAt(latches->IndexOf(k));
+    ArrivingKey* spare = nullptr;
+    for (ArrivingKey& r : list) {
+      if (r.active && r.key == k) return r;
+      if (!r.active && spare == nullptr) spare = &r;
+    }
+    if (spare == nullptr) spare = &list.emplace_back();
+    spare->key = k;
+    spare->active = true;
+    return *spare;
+  }
+
   // Appends a deferred item to key k's arrival queue. Caller must hold the
   // key's latch (which is what keeps the kArriving state stable).
   void QueueDeferred(Key k, Deferred item) {
-    ArrivingShard& shard = ArrivingShardFor(k);
-    MutexLock lock(shard.mu);
-    shard.map[k].queue.push_back(std::move(item));
+    ArrivalFor(k).queue.push_back(std::move(item));
   }
 };
 

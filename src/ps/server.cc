@@ -448,9 +448,6 @@ void Server::HandleLocalize(Message& msg) {
       LatchGuard latch(ctx_->latches->ForKey(k));
       if (ctx_->StateOf(k) == KeyState::kNotOwned) {
         ctx_->SetState(k, KeyState::kArriving);
-        NodeContext::ArrivingShard& shard = ctx_->ArrivingShardFor(k);
-        MutexLock lock(shard.mu);
-        shard.map.try_emplace(k);
       }
     }
     groups_.AddKey(current, k);
@@ -585,18 +582,17 @@ void Server::HandleTransfer(Message& msg) {
 }
 
 void Server::DrainArrived(Key k) {
-  ArrivingKey entry;
-  {
-    NodeContext::ArrivingShard& shard = ctx_->ArrivingShardFor(k);
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(k);
-    if (it == shard.map.end()) return;
-    entry = std::move(it->second);
-    shard.map.erase(it);
-  }
+  ArrivingKey* record = ctx_->FindArriving(k);
+  if (record == nullptr) return;
+  // Take the record's items and free it: the drain below may queue on k
+  // again (ForwardDeferred), which claims a record afresh. The swaps hand
+  // the record this thread's emptied buffers, so neither side allocates.
+  drain_queue_.swap(record->queue);
+  drain_waiters_.swap(record->localize_waiters);
+  record->active = false;
 
   // Coalesced localize calls by local workers complete now.
-  for (const auto& w : entry.localize_waiters) {
+  for (const auto& w : drain_waiters_) {
     const bool done = ctx_->TrackerFor(w.thread).CompleteKeys(w.op_id, 1);
     if (w.traced && trace_ring_ != nullptr) {
       const uint64_t uid = obs::PackUid(ctx_->node, w.thread, w.op_id);
@@ -610,8 +606,8 @@ void Server::DrainArrived(Key k) {
   }
 
   const size_t len = ctx_->layout->Length(k);
-  for (size_t i = 0; i < entry.queue.size(); ++i) {
-    Deferred& item = entry.queue[i];
+  for (size_t i = 0; i < drain_queue_.size(); ++i) {
+    Deferred& item = drain_queue_[i];
     if (std::holds_alternative<DeferredLocalOp>(item)) {
       DeferredLocalOp& op = std::get<DeferredLocalOp>(item);
       Val* slot = ctx_->store->GetOrCreate(k);
@@ -658,11 +654,13 @@ void Server::DrainArrived(Key k) {
     endpoint_->Send(std::move(t));
     // Everything queued after the hand-over chases the key over the
     // network, preserving per-worker order.
-    for (size_t j = i + 1; j < entry.queue.size(); ++j) {
-      ForwardDeferred(k, std::move(entry.queue[j]));
+    for (size_t j = i + 1; j < drain_queue_.size(); ++j) {
+      ForwardDeferred(k, std::move(drain_queue_[j]));
     }
-    return;
+    break;
   }
+  drain_queue_.clear();
+  drain_waiters_.clear();
 }
 
 void Server::ForwardDeferred(Key k, Deferred item) {

@@ -145,6 +145,10 @@ class Server {
   std::vector<NodeId> fwd_dsts_;
   // Per-sub-op completion counts of HandleResponse.
   std::vector<size_t> op_counts_;
+  // The items DrainArrived took out of an arrival record; their buffers
+  // trade places with the record's on every drain.
+  std::vector<Deferred> drain_queue_;
+  std::vector<ArrivingKey::LocalizeWaiter> drain_waiters_;
 
   // Pull sub-ops (key, origin thread, op word) whose owner snapshot the
   // flush epoch refused (ReplicaManager::Install), and when each was asked

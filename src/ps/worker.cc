@@ -459,20 +459,14 @@ uint64_t Worker::LocalizeAsync(const std::vector<Key>& keys) {
     }
     if (state == KeyState::kArriving) {
       // Coalesce onto the pending relocation.
-      NodeContext::ArrivingShard& shard = ctx_->ArrivingShardFor(k);
-      MutexLock lock(shard.mu);
-      shard.map[k].localize_waiters.push_back(
+      ctx_->ArrivalFor(k).localize_waiters.push_back(
           {thread_, op, traced, traced ? NowNanos() : 0});
       continue;
     }
     // Start a relocation: mark arriving, then ask the home (or, under
-    // broadcast-relocations, the believed owner) for the key.
+    // broadcast-relocations, the believed owner) for the key. Its arrival
+    // record is claimed only once something queues on it.
     ctx_->SetState(k, KeyState::kArriving);
-    {
-      NodeContext::ArrivingShard& shard = ctx_->ArrivingShardFor(k);
-      MutexLock lock(shard.mu);
-      shard.map.try_emplace(k);
-    }
     const NodeId dst =
         broadcast_reloc ? RemoteDst(k) : ctx_->layout->Home(k);
     sc.groups.AddKey(GroupSlot(dst, k), k);

@@ -14,8 +14,7 @@ namespace lapse {
 // without capability attributes, so locking through them is invisible to
 // Clang's thread-safety analysis; these wrappers add the attributes and
 // nothing else -- every method is an inline forward to the std type, so
-// the generated code is the same, except for a Mutex constructed with
-// spin tries (below).
+// the generated code is the same.
 //
 // Waiting with a predicate is written as an explicit loop at the call
 // site (`while (!cond) cv.Wait(mu);`) instead of passing a lambda: the
@@ -25,30 +24,16 @@ namespace lapse {
 class LAPSE_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  // lock() first tries `spin_tries` times, pausing between tries, and only
-  // then blocks. For short critical sections that two running threads
-  // take in turn: a blocked acquisition sleeps on a futex, and the sleep
-  // and wake cost microseconds.
-  explicit Mutex(int spin_tries) : spin_tries_(spin_tries) {}
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() LAPSE_ACQUIRE() {
-    for (int i = 0; i < spin_tries_; ++i) {
-      if (mu_.try_lock()) return;
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-    mu_.lock();
-  }
+  void lock() LAPSE_ACQUIRE() { mu_.lock(); }
   void unlock() LAPSE_RELEASE() { mu_.unlock(); }
   bool try_lock() LAPSE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
   std::mutex mu_;
-  const int spin_tries_ = 0;
 };
 
 // RAII guard (scoped capability). Supports temporary release via

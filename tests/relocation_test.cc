@@ -302,6 +302,76 @@ TEST(RelocationTest, ManyKeysBulkLocalize) {
   for (Key k = 0; k < 256; ++k) EXPECT_EQ(system.OwnerOf(k), 2);
 }
 
+// With a single latch every key's arrival record sits in one list. 100
+// keys move from node 2 to node 1 while ops queue on each of them: node 1's
+// own pushes and pulls, a second worker's localize coalesced onto the same
+// relocations, and pushes from every other worker that chase the keys.
+// Every op must complete and every value must hold every push.
+TEST(RelocationTest, OneLatchHoldsEveryArrivalRecord) {
+  Config cfg = LapseConfig(3, 2, /*keys=*/300);
+  cfg.num_latches = 1;
+  // Slow hops: a relocation takes >= 10 ms, so ops issued right after a
+  // localize find its keys still arriving.
+  cfg.latency.remote_base_ns = 5'000'000;
+  PsSystem system(cfg);
+  std::vector<Key> keys;
+  for (Key k = 0; keys.size() < 100; ++k) {
+    if (system.layout().Home(k) == 0) keys.push_back(k);
+  }
+  for (const Key k : keys) {
+    const std::vector<Val> v = {static_cast<Val>(k), 0.0f};
+    system.SetValue(k, v.data());
+  }
+  system.Run([&](Worker& w) {
+    if (w.node() == 2 && w.thread_slot() == 1) w.Localize(keys);
+  });
+  ASSERT_EQ(system.OwnerOf(keys[0]), 2);
+
+  std::atomic<int> unfinished{0};
+  std::atomic<int> bad_pulls{0};
+  system.Run([&](Worker& w) {
+    const std::vector<Val> one = {1.0f, 1.0f};
+    std::vector<Val> pulled(2 * keys.size(), -1.0f);
+    std::vector<uint64_t> ops;
+    if (w.node() == 1) ops.push_back(w.LocalizeAsync(keys));
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ops.push_back(w.PushAsync({keys[i]}, one.data()));
+      if (w.node() == 1) {
+        ops.push_back(w.PullAsync({keys[i]}, pulled.data() + 2 * i));
+      }
+    }
+    w.WaitAll();
+    for (const uint64_t op : ops) {
+      if (!w.IsDone(op)) unfinished.fetch_add(1);
+    }
+    if (w.node() != 1) return;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      // The pull queued behind this worker's own push; at most all six
+      // workers' pushes landed before it.
+      const Val base = static_cast<Val>(keys[i]);
+      const Val got = pulled[2 * i];
+      if (got < base + 1.0f || got > base + 6.0f) bad_pulls.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(unfinished.load(), 0);
+  EXPECT_EQ(bad_pulls.load(), 0);
+  EXPECT_GE(system.node_stats(1).queued_local_ops.sum(), 100);
+  std::vector<Val> buf(2);
+  for (const Key k : keys) {
+    EXPECT_EQ(system.OwnerOf(k), 1) << "key " << k;
+    system.GetValue(k, buf.data());
+    EXPECT_EQ(buf[0], static_cast<Val>(k) + 6.0f) << "key " << k;
+    EXPECT_EQ(buf[1], 6.0f) << "key " << k;
+  }
+  // All records went through the one list, and every drain freed its own.
+  NodeContext& ctx = system.node_context(1);
+  ASSERT_EQ(ctx.latches->size(), 1u);
+  EXPECT_GE(ctx.latches->ArrivalsAt(0).size(), 100u);
+  for (const ArrivingKey& r : ctx.latches->ArrivalsAt(0)) {
+    EXPECT_FALSE(r.active);
+  }
+}
+
 }  // namespace
 }  // namespace ps
 }  // namespace lapse
