@@ -147,7 +147,7 @@ double MeasureLocalizeRoundTrip(int64_t ops) {
   // the key space must cover ops * kKeysPerOp upper-half keys.
   const uint64_t num_keys = static_cast<uint64_t>(2 * ops) * kKeysPerOp + 16;
   ps::Config cfg = RemoteConfig(num_keys);
-  cfg.uniform_value_length = 8;  // keep the full-model dense store small
+  cfg.uniform_value_length = 8;  // keep every node's value array small
   ps::PsSystem system(cfg);
   double secs = 0;
   system.Run([&](ps::Worker& w) {

@@ -46,40 +46,12 @@ void PlacementManager::Pause() {
   while (!(parked_ || stop_)) cv_.Wait(mu_);
 }
 
-void PlacementManager::SetReplicationHook(
-    std::function<void(const std::vector<Key>&)> hook) {
-  // Replay flags that fired before the hook existed: without this, a hook
-  // installed after the first contended keys were detected would silently
-  // never hear about them (they are flagged exactly once). The replay runs
-  // outside mu_ so a hook that calls back into the manager cannot
-  // deadlock; the manager thread appends to flagged_ and reads hook_ under
-  // one mu_ critical section, so every flag is delivered exactly once --
-  // either by that tick's call or by this replay.
-  std::vector<Key> replay;
-  std::function<void(const std::vector<Key>&)> installed;
-  {
-    MutexLock lock(mu_);
-    hook_ = std::move(hook);
-    if (!flagged_.empty()) {
-      replay = flagged_;
-      installed = hook_;
-    }
-  }
-  if (installed) installed(replay);
-}
-
-std::vector<Key> PlacementManager::ReplicationFlagged() const {
-  MutexLock lock(mu_);
-  return flagged_;
-}
-
 void PlacementManager::Loop() {
-  // The protocol worker lives on this thread. Slot workers_per_node + 1 is
-  // reserved for it (trackers and rings are sized accordingly); its
+  // The protocol worker lives on this thread, in its own thread slot; its
   // worker_id is outside the application range.
   const ps::Config& cfg = *ctx_->config;
   worker_ = std::make_unique<ps::Worker>(
-      ctx_, network_, /*barrier=*/nullptr, cfg.workers_per_node + 1,
+      ctx_, network_, /*barrier=*/nullptr, cfg.manager_slot(),
       /*global_id=*/cfg.total_workers() + ctx_->node,
       Mix64(cfg.seed ^ (0xada97ULL + static_cast<uint64_t>(ctx_->node))));
 
@@ -160,27 +132,18 @@ void PlacementManager::Tick() {
                                      std::memory_order_relaxed);
   }
   if (!decisions_scratch_.replicate.empty()) {
-    // The real serving path: pin the flagged keys into the node's replica
-    // store and register at their homes, so subsequent reads are served
-    // from local memory (Worker::Replicate; no-op when replication is
-    // off). The hook is observability on top.
+    // Pin the flagged keys into the node's replica store and register at
+    // their homes, so subsequent reads are served from local memory
+    // (Worker::Replicate). With replication off they are only counted.
     if (ctx_->replicas != nullptr) {
       const size_t pinned =
           worker_->Replicate(decisions_scratch_.replicate);
       live_.replicas_pinned.fetch_add(static_cast<int64_t>(pinned),
                                       std::memory_order_relaxed);
     }
-    std::function<void(const std::vector<Key>&)> hook;
-    {
-      MutexLock lock(mu_);
-      flagged_.insert(flagged_.end(), decisions_scratch_.replicate.begin(),
-                      decisions_scratch_.replicate.end());
-      hook = hook_;
-    }
     live_.replication_flags.fetch_add(
         static_cast<int64_t>(decisions_scratch_.replicate.size()),
         std::memory_order_relaxed);
-    if (hook) hook(decisions_scratch_.replicate);
   }
   if (!decisions_scratch_.flush_caps.empty() && ctx_->replicas != nullptr) {
     // Adaptive flush sizing: install this window's per-key count triggers.

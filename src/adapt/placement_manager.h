@@ -2,7 +2,6 @@
 #define LAPSE_ADAPT_PLACEMENT_MANAGER_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -47,10 +46,11 @@ struct AdaptStats {
 // Per-node background thread that makes relocation automatic: drains the
 // workers' sample rings, feeds the PlacementPolicy, and acts on its
 // decisions -- LocalizeAsync for hot remote keys, Evict for keys gone
-// cold, and the replication hook for contended read-mostly keys.
+// cold, and (with Config::replication on) Replicate and Unreplicate for
+// contended read-mostly keys.
 //
 // The manager issues protocol operations through its own ps::Worker on a
-// dedicated thread slot (workers_per_node + 1), so its localizes ride the
+// dedicated thread slot (Config::manager_slot()), so its localizes ride the
 // exact same relocation protocol, deferral queues, and trackers as
 // application localizes.
 //
@@ -73,15 +73,6 @@ class PlacementManager {
   // protocol operations (idempotent).
   void Pause();
 
-  // Installs the replication hook: called from the manager thread with
-  // every batch of newly flagged contended read-mostly keys. With
-  // Config::replication on, the manager already pins flagged keys into
-  // the node's ps::ReplicaManager on its own -- the hook is for
-  // observability or custom stores. Keys flagged before the hook was
-  // installed are replayed to it immediately (from the installing
-  // thread), so installation order does not lose flags.
-  void SetReplicationHook(std::function<void(const std::vector<Key>&)> hook);
-
   AdaptStats stats() const { return LoadStats<AdaptStats>(live_); }
   // Zeroes the counters. Only while the manager is paused.
   void ResetStats() { ResetCumulative<AdaptStats>(live_); }
@@ -93,9 +84,6 @@ class PlacementManager {
     tick_hist_.store(h, std::memory_order_release);
   }
 
-  // Every key flagged for replication so far, in flag order.
-  std::vector<Key> ReplicationFlagged() const;
-
   NodeId node() const { return ctx_->node; }
 
  private:
@@ -105,7 +93,6 @@ class PlacementManager {
   ps::NodeContext* ctx_;
   net::Network* network_;
   PlacementPolicy policy_;
-  std::function<void(const std::vector<Key>&)> hook_ LAPSE_GUARDED_BY(mu_);
 
   // The manager's protocol worker; created and destroyed on the manager
   // thread (a Worker is owned by exactly one thread).
@@ -114,13 +101,12 @@ class PlacementManager {
   std::vector<AccessSample> sample_scratch_;
   Decisions decisions_scratch_;
 
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar cv_;
   bool active_ LAPSE_GUARDED_BY(mu_) = false;
   // Thread is idle and drained.
   bool parked_ LAPSE_GUARDED_BY(mu_) = false;
   bool stop_ LAPSE_GUARDED_BY(mu_) = false;
-  std::vector<Key> flagged_ LAPSE_GUARDED_BY(mu_);
 
   struct LiveStats {
     LAPSE_ADAPT_STATS(LAPSE_STAT_ATOMIC)

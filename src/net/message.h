@@ -70,7 +70,7 @@ struct Message {
   MsgType type = MsgType::kShutdown;
 
   NodeId src_node = -1;   // sending node
-  int32_t src_thread = -1;  // sending thread slot (0 = server, >=1 workers)
+  int32_t src_thread = -1;  // sending thread slot (ps::Config numbering)
   NodeId dst_node = -1;
 
   // Origin of the worker operation this message belongs to; responses are

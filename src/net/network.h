@@ -170,9 +170,9 @@ class Network {
   int shards_per_node() const { return shards_per_node_; }
   const LatencyConfig& latency_config() const { return latency_config_; }
 
-  // Creates a sending endpoint for (node, thread). thread slot 0 is the
-  // server thread by convention; workers use slots >= 1. CHECK-fails while
-  // another endpoint on the same slot is alive.
+  // Creates a sending endpoint for (node, thread), thread being a thread
+  // slot as ps::Config numbers them. CHECK-fails while another endpoint on
+  // the same slot is alive.
   std::unique_ptr<Endpoint> CreateEndpoint(NodeId node, int32_t thread);
 
   // Blocking receive for `node`'s shard-0 server thread. Returns false once

@@ -50,10 +50,9 @@ struct OpRecord {
 // rings are FIFO and each pass drains all of them).
 class Observability {
  public:
-  // `slots_per_node` mirrors adapt::AccessStats: 0 = server, 1..W =
-  // workers, W+1 = the placement manager's protocol worker. Registers the
-  // histograms and the collector's own gauges in `registry`, which must
-  // not be snapshot after this is destroyed.
+  // One trace ring per thread slot (ps::Config::num_thread_slots()) of
+  // each node. Registers the histograms and the collector's own gauges in
+  // `registry`, which must not be snapshot after this is destroyed.
   Observability(const ObsConfig& config, int num_nodes, int slots_per_node,
                 MetricsRegistry* registry);
   ~Observability();

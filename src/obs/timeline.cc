@@ -45,47 +45,5 @@ const char* OpKindName(OpKind k) {
   return "?";
 }
 
-namespace {
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 64;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-EventRing::EventRing(size_t capacity)
-    : buf_(RoundUpPow2(capacity)), mask_(buf_.size() - 1) {}
-
-size_t EventRing::Drain(std::vector<TraceEvent>* out) {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  for (uint64_t i = head; i != tail; ++i) {
-    out->push_back(buf_[i & mask_]);
-  }
-  head_.store(tail, std::memory_order_release);
-  return static_cast<size_t>(tail - head);
-}
-
-NodeObs::NodeObs(int num_slots, size_t ring_capacity) {
-  rings_.reserve(static_cast<size_t>(num_slots));
-  for (int i = 0; i < num_slots; ++i) {
-    rings_.push_back(std::make_unique<EventRing>(ring_capacity));
-  }
-}
-
-size_t NodeObs::DrainAll(std::vector<TraceEvent>* out) {
-  size_t total = 0;
-  for (auto& r : rings_) total += r->Drain(out);
-  return total;
-}
-
-int64_t NodeObs::TotalDropped() const {
-  int64_t total = 0;
-  for (const auto& r : rings_) total += r->dropped();
-  return total;
-}
-
 }  // namespace obs
 }  // namespace lapse

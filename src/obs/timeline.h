@@ -1,12 +1,10 @@
 #ifndef LAPSE_OBS_TIMELINE_H_
 #define LAPSE_OBS_TIMELINE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "net/message.h"
+#include "util/spsc_ring.h"
 
 namespace lapse {
 namespace obs {
@@ -82,67 +80,11 @@ struct TraceEvent {
   }
 };
 
-// Bounded single-producer/single-consumer ring of trace events, modeled on
-// adapt::SampleRing: the producer is one worker or server thread, the
-// consumer is the observability collector. Push never blocks and never
-// allocates; when the collector falls behind, events are dropped and
-// counted (the affected op records finalize incomplete and are discarded,
-// which is acceptable for a sampling tracer).
-class EventRing {
- public:
-  // `capacity` is rounded up to a power of two (minimum 64).
-  explicit EventRing(size_t capacity);
-
-  EventRing(const EventRing&) = delete;
-  EventRing& operator=(const EventRing&) = delete;
-
-  // Producer side. Returns false (and counts a drop) when full.
-  bool TryPush(TraceEvent ev) {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) >= buf_.size()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    buf_[tail & mask_] = ev;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Consumer side: appends every pending event to `out`, returns how many.
-  size_t Drain(std::vector<TraceEvent>* out);
-
-  size_t capacity() const { return buf_.size(); }
-  int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<TraceEvent> buf_;
-  uint64_t mask_;
-  alignas(64) std::atomic<uint64_t> head_{0};  // consumer cursor
-  alignas(64) std::atomic<uint64_t> tail_{0};  // producer cursor
-  std::atomic<int64_t> dropped_{0};
-};
-
-// One node's trace rings, one per thread slot (0 = server, 1..W = workers,
-// W+1 = the placement manager's protocol worker), mirroring
-// adapt::AccessStats. Owned by the Observability instance; NodeContext and
-// the threads hold raw pointers.
-class NodeObs {
- public:
-  NodeObs(int num_slots, size_t ring_capacity);
-
-  EventRing* Ring(int32_t slot) { return rings_[slot].get(); }
-  int num_slots() const { return static_cast<int>(rings_.size()); }
-
-  // Drains every ring into `out` (appending); returns total drained.
-  size_t DrainAll(std::vector<TraceEvent>* out);
-
-  int64_t TotalDropped() const;
-
- private:
-  std::vector<std::unique_ptr<EventRing>> rings_;
-};
+// Each worker and server thread records its events into its thread slot's
+// ring; the collector drains them all. A dropped event leaves its op's
+// record incomplete, and the collector discards it.
+using EventRing = SpscRing<TraceEvent>;
+using NodeObs = SpscRingSet<TraceEvent>;
 
 }  // namespace obs
 }  // namespace lapse

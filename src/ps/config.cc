@@ -33,16 +33,6 @@ const char* LocationStrategyName(LocationStrategy s) {
   return "?";
 }
 
-const char* StorageKindName(StorageKind k) {
-  switch (k) {
-    case StorageKind::kDense:
-      return "Dense";
-    case StorageKind::kSparse:
-      return "Sparse";
-  }
-  return "?";
-}
-
 void Config::Validate() const {
   LAPSE_CHECK_GT(num_nodes, 0)
       << "Config: num_nodes must be positive (a deployment needs at least "

@@ -33,11 +33,8 @@ enum class LocationStrategy {
   kBroadcastRelocations,  // every node mirrors all K locations (direct mail)
 };
 
-enum class StorageKind { kDense, kSparse };
-
 const char* ArchitectureName(Architecture a);
 const char* LocationStrategyName(LocationStrategy s);
-const char* StorageKindName(StorageKind k);
 
 // Knobs of the adaptive placement engine (src/adapt): each node samples its
 // workers' accesses, aggregates them over decaying windows, and relocates
@@ -73,7 +70,7 @@ struct AdaptiveConfig {
   // contended keys are eventually retried.
   int churn_forget_ticks = 64;
   // Read fraction at/above which a contended key is flagged for pinning
-  // into a replica store (see PlacementManager::SetReplicationHook).
+  // into the node's replica store (with Config::replication on).
   double replicate_read_fraction = 0.9;
   // A pinned key's replica "pays for itself" in a window when the key
   // stays warm (score >= cold_threshold) AND read-mostly (read fraction
@@ -126,7 +123,6 @@ struct Config {
   Architecture arch = Architecture::kLapse;
   LocationStrategy strategy = LocationStrategy::kHomeNode;
   bool location_caches = false;
-  StorageKind storage = StorageKind::kDense;
   size_t num_latches = 1000;  // paper default (Section 3.7)
 
   // Server drain threads per node. Each thread owns one key-range shard of
@@ -221,6 +217,17 @@ struct Config {
   void Validate() const;
 
   int total_workers() const { return num_nodes * workers_per_node; }
+
+  // The thread slots of one node, which index its endpoints, op trackers
+  // and sample and trace rings: 0 = the shard-0 server, 1..W = the workers
+  // (W = workers_per_node), W+1 = the placement manager's protocol worker,
+  // W+2.. = server shards 1..S-1 (S = server_threads). Slots
+  // 0..manager_slot() issue ops; all num_thread_slots() of them send.
+  int32_t manager_slot() const { return workers_per_node + 1; }
+  int32_t server_slot(int shard) const {
+    return shard == 0 ? 0 : manager_slot() + shard;
+  }
+  int num_thread_slots() const { return manager_slot() + server_threads; }
 };
 
 }  // namespace ps

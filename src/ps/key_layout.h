@@ -10,8 +10,8 @@ namespace lapse {
 namespace ps {
 
 // Immutable description of the key space: how long each parameter's value
-// vector is, where it lives in a dense store, and which node is its *home*
-// (the statically-assigned location manager; Section 3.5).
+// vector is, where it lives in a node's value array, and which node is its
+// *home* (the statically-assigned location manager; Section 3.5).
 //
 // Home assignment uses range partitioning, like PS-Lite: node n is home for
 // keys [n*K/N, (n+1)*K/N).
@@ -41,8 +41,8 @@ class KeyLayout {
     return uniform_ ? uniform_length_ : lengths_[k];
   }
 
-  // Offset of key k in a dense store laid out as the concatenation of all
-  // value vectors.
+  // Offset of key k in a node's value array (NodeContext::values), the
+  // concatenation of all value vectors.
   size_t Offset(Key k) const {
     return uniform_ ? static_cast<size_t>(k) * uniform_length_ : offsets_[k];
   }

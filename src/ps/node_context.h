@@ -20,7 +20,6 @@
 #include "ps/location.h"
 #include "ps/op_tracker.h"
 #include "ps/replica_manager.h"
-#include "ps/storage.h"
 #include "util/stats.h"
 
 namespace lapse {
@@ -166,13 +165,17 @@ struct NodeContext {
   const Config* config = nullptr;
   const KeyLayout* layout = nullptr;
 
-  std::unique_ptr<Storage> store;
+  // The node's parameter values: KeyLayout::TotalVals() of them, key k's
+  // at Slot(k). With dynamic allocation any node may own any key, so every
+  // node holds the full key space. Only the owner reads or writes key k's
+  // values, under k's latch.
+  std::vector<Val> values;
   std::unique_ptr<LatchTable> latches;
   std::vector<std::atomic<uint8_t>> key_state;  // KeyState per key
   std::unique_ptr<LocationTable> owners;
   std::unique_ptr<LocationCache> cache;  // null unless enabled
-  // Sample rings of the adaptive placement engine, one per thread slot
-  // (null unless config.adaptive.enabled).
+  // Sample rings of the adaptive placement engine, one per op-issuing
+  // thread slot (null unless config.adaptive.enabled).
   std::unique_ptr<adapt::AccessStats> access_stats;
   // Replica store for contended read-mostly keys (null unless
   // config.replication).
@@ -187,12 +190,16 @@ struct NodeContext {
   obs::Histogram* coalesce_batch_size_hist = nullptr;
   obs::Histogram* coalesce_wait_ns_hist = nullptr;
 
-  // One tracker per worker slot (index 0 unused; workers use slots >= 1).
+  // One tracker per op-issuing thread slot, 0..Config::manager_slot()
+  // (slot 0, the shard-0 server, issues none).
   std::vector<std::unique_ptr<OpTracker>> trackers;
 
   // Messages this node's server has finished handling (incremented after
   // the handler's own sends). Paired with Inbox::PutCount for quiescing.
-  std::atomic<int64_t> processed_msgs{0};
+  // alignas(64): every drain thread bumps it per message, so it must not
+  // share a cache line with the pointers above, which workers read on
+  // every op or batch.
+  alignas(64) std::atomic<int64_t> processed_msgs{0};
 
   // The kWorker fields of ServerStats, written by this node's workers
   // (batched per worker, see the RULES above ServerStats).
@@ -210,6 +217,8 @@ struct NodeContext {
   void SetState(Key k, KeyState s) {
     key_state[k].store(static_cast<uint8_t>(s), std::memory_order_release);
   }
+
+  Val* Slot(Key k) { return values.data() + layout->Offset(k); }
 
   OpTracker& TrackerFor(int32_t thread) { return *trackers[thread]; }
 

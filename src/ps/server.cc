@@ -79,16 +79,12 @@ Server::Server(NodeContext* ctx, net::Network* network, int shard)
       network_(network),
       shard_(shard),
       stats_(&ctx->shard_stats[shard]),
-      // Thread-slot convention: 0 = shard-0 server, 1..W = workers, W+1 =
-      // placement manager, W+2.. = the extra server shards, in order.
-      endpoint_(network->CreateEndpoint(
-          ctx->node,
-          shard == 0 ? 0 : ctx->config->workers_per_node + 1 + shard)) {
+      endpoint_(network->CreateEndpoint(ctx->node,
+                                        ctx->config->server_slot(shard))) {
   groups_.Resize(static_cast<size_t>(network->num_nodes()));
   fwd_.resize(static_cast<size_t>(network->num_nodes()));
   if (ctx_->obs != nullptr) {
-    trace_ring_ = ctx_->obs->Ring(
-        shard == 0 ? 0 : ctx->config->workers_per_node + 1 + shard);
+    trace_ring_ = ctx_->obs->Ring(ctx->config->server_slot(shard));
   }
 }
 
@@ -215,7 +211,7 @@ void Server::RouteEntry(const Message& msg, const EnvelopeView& in, Key k,
   const size_t len = ctx_->layout->Length(k);
   const size_t push_len = is_push ? len : 0;
   if (state == KeyState::kOwned) {
-    Val* slot = ctx_->store->GetOrCreate(k);
+    Val* slot = ctx_->Slot(k);
     if (is_push) AddTo(slot, push_vals, len);
     reply_.Add(k, word, slot, is_push ? 0 : len);
     return;
@@ -379,10 +375,12 @@ void Server::HandOver(Key k, NodeId requester, Message* t) {
     ctx_->owners->SetOwnerAt(k, requester, epoch);
     t->aux.push_back(epoch);
   }
-  const Val* slot = ctx_->store->GetOrCreate(k);
+  Val* slot = ctx_->Slot(k);
+  const size_t len = ctx_->layout->Length(k);
   t->keys.push_back(k);
-  t->vals.insert(t->vals.end(), slot, slot + ctx_->layout->Length(k));
-  ctx_->store->Erase(k);
+  t->vals.insert(t->vals.end(), slot, slot + len);
+  // The value now travels with the transfer; zero the copy left behind.
+  std::memset(slot, 0, len * sizeof(Val));
   ctx_->SetState(k, KeyState::kNotOwned);
 }
 
@@ -534,7 +532,7 @@ void Server::HandleTransfer(Message& msg) {
     // read-your-writes through a relocation). Workers colliding on the
     // latch spin-with-yield for the (typically short) queue.
     LatchGuard latch(ctx_->latches->ForKey(k));
-    ctx_->store->Put(k, msg.vals.data() + val_off);
+    CopyVals(ctx_->Slot(k), msg.vals.data() + val_off, len);
     val_off += len;
     ctx_->SetState(k, KeyState::kOwned);
     if (ctx_->cache) ctx_->cache->Update(k, ctx_->node);
@@ -610,7 +608,7 @@ void Server::DrainArrived(Key k) {
     Deferred& item = drain_queue_[i];
     if (std::holds_alternative<DeferredLocalOp>(item)) {
       DeferredLocalOp& op = std::get<DeferredLocalOp>(item);
-      Val* slot = ctx_->store->GetOrCreate(k);
+      Val* slot = ctx_->Slot(k);
       if (op.is_push) {
         AddTo(slot, op.push_update.data(), len);
       } else {

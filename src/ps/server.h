@@ -160,7 +160,7 @@ class Server {
   // lock. Only keys that were ever flagged for replication have entries.
   std::unordered_map<Key, std::vector<NodeId>> replica_holders_;
 
-  // This server thread's trace-event ring (slot 0 of the node's NodeObs);
+  // This server thread's trace-event ring (its Config::server_slot);
   // null unless per-op tracing is enabled. Untraced messages pay one null
   // check + one flag test in Handle().
   obs::EventRing* trace_ring_ = nullptr;

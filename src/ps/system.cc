@@ -41,7 +41,7 @@ PsSystem::PsSystem(Config config)
     ctx->node = n;
     ctx->config = &config_;
     ctx->layout = &layout_;
-    ctx->store = CreateStorage(config_.storage, &layout_);
+    ctx->values = std::vector<Val>(layout_.TotalVals(), 0.0f);
     // Partitioned by shard: each drain thread contends only for the slice
     // of latch slots covering its own shard's keys.
     ctx->latches =
@@ -63,15 +63,16 @@ PsSystem::PsSystem(Config config)
     if (config_.location_caches) {
       ctx->cache = std::make_unique<LocationCache>(layout_.num_keys());
     }
-    // Slots: 0 = server, 1..W = workers, W+1 = the placement manager's
-    // protocol worker (allocated unconditionally; it is one empty tracker).
-    ctx->trackers.reserve(config_.workers_per_node + 2);
-    for (int t = 0; t <= config_.workers_per_node + 1; ++t) {
+    // One per op-issuing slot; the placement manager's is allocated
+    // unconditionally (it is one empty tracker).
+    const int op_slots = config_.manager_slot() + 1;
+    ctx->trackers.reserve(op_slots);
+    for (int t = 0; t < op_slots; ++t) {
       ctx->trackers.push_back(std::make_unique<OpTracker>());
     }
     if (config_.adaptive.enabled) {
       ctx->access_stats = std::make_unique<adapt::AccessStats>(
-          config_.workers_per_node + 2, config_.adaptive.ring_capacity);
+          op_slots, config_.adaptive.ring_capacity);
     }
     if (config_.replication) {
       ctx->replicas = std::make_unique<ReplicaManager>(
@@ -82,11 +83,9 @@ PsSystem::PsSystem(Config config)
   }
   if (config_.obs.sample_every > 0) {
     // Before the servers: they grab their trace ring in their constructor.
-    // Ring slots per node: 0 = shard-0 server, 1..W = workers, W+1 = the
-    // placement manager's protocol worker, W+2.. = server shards 1..S-1.
     obs_ = std::make_unique<obs::Observability>(
-        config_.obs, config_.num_nodes,
-        config_.workers_per_node + 2 + (num_shards - 1), &registry_);
+        config_.obs, config_.num_nodes, config_.num_thread_slots(),
+        &registry_);
     for (NodeId n = 0; n < config_.num_nodes; ++n) {
       nodes_[n]->obs = obs_->NodeRings(n);
       // Every (node, shard) drain thread samples its own inbox's depth on
@@ -201,15 +200,6 @@ void PsSystem::RegisterMetrics() {
   });
 }
 
-void PsSystem::SetReplicationHook(
-    std::function<void(NodeId, const std::vector<Key>&)> hook) {
-  for (auto& m : managers_) {
-    const NodeId n = m->node();
-    m->SetReplicationHook(
-        [hook, n](const std::vector<Key>& keys) { hook(n, keys); });
-  }
-}
-
 void PsSystem::Run(const std::function<void(Worker&)>& fn) {
   // The placement managers act only while workers run: on an idle system
   // the decaying stats would only issue evictions, and SetValue/GetValue
@@ -249,7 +239,7 @@ void PsSystem::SetValue(Key k, const Val* data) {
   NodeContext& ctx = *nodes_[owner];
   LatchGuard latch(ctx.latches->ForKey(k));
   LAPSE_CHECK(ctx.StateOf(k) == KeyState::kOwned);
-  ctx.store->Put(k, data);
+  std::memcpy(ctx.Slot(k), data, layout_.Length(k) * sizeof(Val));
 }
 
 void PsSystem::GetValue(Key k, Val* dst) {
@@ -257,8 +247,7 @@ void PsSystem::GetValue(Key k, Val* dst) {
   NodeContext& ctx = *nodes_[owner];
   LatchGuard latch(ctx.latches->ForKey(k));
   LAPSE_CHECK(ctx.StateOf(k) == KeyState::kOwned);
-  std::memcpy(dst, ctx.store->GetOrCreate(k),
-              layout_.Length(k) * sizeof(Val));
+  std::memcpy(dst, ctx.Slot(k), layout_.Length(k) * sizeof(Val));
 }
 
 NodeId PsSystem::OwnerOf(Key k) const {

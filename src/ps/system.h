@@ -122,16 +122,6 @@ class PsSystem {
   adapt::PlacementManager& placement_manager(NodeId n) {
     return *managers_[n];
   }
-  // Installs the replication hook on every node's manager; called from the
-  // manager threads with (node, newly flagged keys). No-op when the engine
-  // is disabled. Flags that fired before the hook was installed are
-  // replayed to it immediately, so late installation loses nothing. Note:
-  // with config.replication on, flagged keys are additionally pinned into
-  // the node's ReplicaManager automatically -- the hook is observability,
-  // not the serving path.
-  void SetReplicationHook(
-      std::function<void(NodeId, const std::vector<Key>&)> hook);
-
   // Valid only when config.replication; null otherwise.
   ReplicaManager* replica_manager(NodeId n) {
     return nodes_[n]->replicas.get();

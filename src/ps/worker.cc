@@ -30,7 +30,7 @@ Worker::Worker(NodeContext* ctx, net::Network* network,
       (arch == Architecture::kLapse &&
        (ctx_->config->strategy == LocationStrategy::kHomeNode ||
         ctx_->config->strategy == LocationStrategy::kBroadcastRelocations));
-  dense_base_ = ctx_->store->DenseBase();
+  values_ = ctx_->values.data();
   replicas_ = ctx_->replicas.get();
   if (ctx_->access_stats != nullptr) {
     sample_ring_ = ctx_->access_stats->Ring(thread_slot);

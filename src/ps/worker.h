@@ -289,7 +289,7 @@ class Worker {
   bool fast_local_;
   bool dpa_enabled_;
   NodeId num_shards_;  // server shards per node (Config::server_threads)
-  Val* dense_base_;  // non-null iff the node store is dense
+  Val* values_;  // the node's parameter values (NodeContext::values)
   // The node's replica store (null unless config.replication): consulted
   // on the pull path after the owned check fails, so replicated contended
   // keys are served from local memory instead of the message path.
@@ -309,11 +309,8 @@ class Worker {
   // Builder of every pull/push envelope this worker sends.
   Coalescer coalescer_;
 
-  // Slot of key k for fast-path access; devirtualized for dense stores.
-  Val* Slot(Key k) {
-    return dense_base_ ? dense_base_ + ctx_->layout->Offset(k)
-                       : ctx_->store->GetOrCreate(k);
-  }
+  // Slot of key k for fast-path access (NodeContext::Slot).
+  Val* Slot(Key k) { return values_ + ctx_->layout->Offset(k); }
 };
 
 }  // namespace ps

@@ -1,65 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <vector>
 
-#include "adapt/access_stats.h"
 #include "adapt/placement_policy.h"
 #include "ps/system.h"
-#include "stale/replica_store.h"
 #include "util/timer.h"
 
-// Adaptive placement engine: sample rings, policy decisions (decay
-// windows, classification thresholds, eviction hysteresis, churn), and the
+// Adaptive placement engine: policy decisions (decay windows,
+// classification thresholds, eviction hysteresis, churn), and the
 // end-to-end engine relocating parameters without manual Localize calls.
 
 namespace lapse {
 namespace adapt {
 namespace {
-
-// ---------------------------------------------------------------- rings --
-
-TEST(SampleRingTest, PushDrainRoundTrip) {
-  SampleRing ring(64);
-  for (Key k = 0; k < 10; ++k) {
-    EXPECT_TRUE(ring.TryPush({k, SampleFlags(k % 2 == 0, false)}));
-  }
-  std::vector<AccessSample> out;
-  EXPECT_EQ(ring.Drain(&out), 10u);
-  ASSERT_EQ(out.size(), 10u);
-  for (Key k = 0; k < 10; ++k) {
-    EXPECT_EQ(out[k].key, k);
-    EXPECT_EQ(out[k].is_write(), k % 2 == 0);
-  }
-  EXPECT_EQ(ring.Drain(&out), 0u);
-}
-
-TEST(SampleRingTest, DropsWhenFullAndCounts) {
-  SampleRing ring(64);  // rounded to exactly 64
-  ASSERT_EQ(ring.capacity(), 64u);
-  for (uint64_t i = 0; i < 70; ++i) ring.TryPush({i, 0});
-  EXPECT_EQ(ring.dropped(), 6);
-  std::vector<AccessSample> out;
-  EXPECT_EQ(ring.Drain(&out), 64u);
-  EXPECT_EQ(out.front().key, 0u);  // oldest survive, newest dropped
-  EXPECT_EQ(out.back().key, 63u);
-}
-
-TEST(SampleRingTest, WrapsAcrossManyBatches) {
-  SampleRing ring(64);
-  std::vector<AccessSample> out;
-  for (uint64_t round = 0; round < 100; ++round) {
-    for (uint64_t i = 0; i < 48; ++i) {
-      ASSERT_TRUE(ring.TryPush({round * 48 + i, 0}));
-    }
-    out.clear();
-    ASSERT_EQ(ring.Drain(&out), 48u);
-    EXPECT_EQ(out.front().key, round * 48);
-    EXPECT_EQ(out.back().key, round * 48 + 47);
-  }
-  EXPECT_EQ(ring.dropped(), 0);
-}
 
 // --------------------------------------------------------------- policy --
 
@@ -518,93 +472,40 @@ TEST(AdaptiveEngineTest, ColdKeysAreEvictedBackHome) {
   EXPECT_GT(system.Sum(&ps::ServerStats::evictions_received, 1).count, 0);
 }
 
-TEST(AdaptiveEngineTest, ContendedReadMostlyKeyIsFlaggedAndHookRuns) {
+TEST(AdaptiveEngineTest, ContendedReadMostlyKeyIsFlaggedAndPinned) {
   ps::Config cfg = AdaptiveConfig2Nodes();
   cfg.adaptive.churn_limit = 1;
+  cfg.replication = true;
   ps::PsSystem system(cfg);
   const Key contended = 40;
-
-  // Replication hook: pin flagged keys into a per-node replica store (the
-  // stale:: bounded-staleness cache) -- the wiring an application would
-  // use to serve contended read-mostly keys from replicas.
-  std::vector<std::unique_ptr<stale::ReplicaStore>> replicas;
-  for (int n = 0; n < cfg.num_nodes; ++n) {
-    replicas.push_back(std::make_unique<stale::ReplicaStore>(
-        &system.layout(), /*num_latches=*/64));
-  }
-  const std::vector<Val> zeros(4, 0.0f);
-  std::atomic<int> hook_calls{0};
-  system.SetReplicationHook(
-      [&](NodeId n, const std::vector<Key>& keys) {
-        for (const Key k : keys) {
-          replicas[n]->Install(k, zeros.data(), /*tag=*/0);
-        }
-        hook_calls.fetch_add(1);
-      });
+  auto pinned_somewhere = [&] {
+    for (NodeId n = 0; n < cfg.num_nodes; ++n) {
+      if (system.replica_manager(n)->IsPinned(contended)) return true;
+    }
+    return false;
+  };
 
   system.Run([&](ps::Worker& w) {
     // Both nodes read-hammer the same key: it ping-pongs, goes contended,
-    // and gets flagged on some node.
+    // gets flagged on some node, and that node's manager pins it into the
+    // node's replica store.
     std::vector<Val> buf(4);
     Timer t;
-    while (hook_calls.load() == 0 && t.ElapsedSeconds() < 20.0) {
+    while (!pinned_somewhere() && t.ElapsedSeconds() < 20.0) {
       w.Pull({contended}, buf.data());
     }
   });
 
-  ASSERT_GT(hook_calls.load(), 0) << "no node flagged the contended key";
-  bool pinned_somewhere = false;
-  for (int n = 0; n < cfg.num_nodes; ++n) {
-    pinned_somewhere |= (replicas[n]->Tag(contended) != -1);
-  }
-  EXPECT_TRUE(pinned_somewhere);
+  EXPECT_TRUE(pinned_somewhere()) << "no node pinned the contended key";
   int64_t flags = 0;
-  for (int n = 0; n < cfg.num_nodes; ++n) {
-    flags += system.placement_manager(n).stats().replication_flags;
+  int64_t pinned = 0;
+  for (NodeId n = 0; n < cfg.num_nodes; ++n) {
+    const adapt::AdaptStats stats = system.placement_manager(n).stats();
+    flags += stats.replication_flags;
+    pinned += stats.replicas_pinned;
   }
   EXPECT_GT(flags, 0);
-}
-
-TEST(AdaptiveEngineTest, HookInstalledAfterFlagsFireGetsThemReplayed) {
-  // Regression: flags emitted before SetReplicationHook was called used to
-  // be dropped silently (each key is flagged exactly once, so a late hook
-  // never heard about them at all).
-  ps::Config cfg = AdaptiveConfig2Nodes();
-  cfg.adaptive.churn_limit = 1;
-  ps::PsSystem system(cfg);
-  const Key contended = 40;
-
-  // Phase 1: NO hook installed; run until some node flags the key.
-  system.Run([&](ps::Worker& w) {
-    std::vector<Val> buf(4);
-    Timer t;
-    while (t.ElapsedSeconds() < 20.0) {
-      w.Pull({contended}, buf.data());
-      int64_t flags = 0;
-      for (int n = 0; n < cfg.num_nodes; ++n) {
-        flags += system.placement_manager(n).stats().replication_flags;
-      }
-      if (flags > 0) return;
-    }
-  });
-  std::vector<Key> flagged_before;
-  for (int n = 0; n < cfg.num_nodes; ++n) {
-    const auto f = system.placement_manager(n).ReplicationFlagged();
-    flagged_before.insert(flagged_before.end(), f.begin(), f.end());
-  }
-  ASSERT_FALSE(flagged_before.empty()) << "no node flagged the key in time";
-
-  // Phase 2: install the hook AFTER the flags fired; it must be replayed
-  // every earlier flag immediately, from the installing thread.
-  std::mutex mu;
-  std::vector<Key> replayed;
-  system.SetReplicationHook([&](NodeId, const std::vector<Key>& keys) {
-    std::lock_guard<std::mutex> lock(mu);
-    replayed.insert(replayed.end(), keys.begin(), keys.end());
-  });
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(replayed.size(), flagged_before.size());
-  for (const Key k : replayed) EXPECT_EQ(k, contended);
+  EXPECT_GT(pinned, 0);
 }
 
 TEST(AdaptiveEngineTest, DisabledEngineChangesNothing) {

@@ -20,14 +20,12 @@ namespace {
 struct ConsistencyParam {
   Architecture arch;
   bool caches;
-  StorageKind storage;
 };
 
 std::string ParamName(
     const ::testing::TestParamInfo<ConsistencyParam>& info) {
   std::string s = ArchitectureName(info.param.arch);
   s += info.param.caches ? "Cached" : "";
-  s += StorageKindName(info.param.storage);
   return s;
 }
 
@@ -41,7 +39,6 @@ class ConsistencyTest : public ::testing::TestWithParam<ConsistencyParam> {
     cfg.uniform_value_length = 2;
     cfg.arch = GetParam().arch;
     cfg.location_caches = GetParam().caches;
-    cfg.storage = GetParam().storage;
     cfg.latency = net::LatencyConfig::Zero();
     return cfg;
   }
@@ -172,13 +169,10 @@ TEST_P(ConsistencyTest, LocalizeStormPreservesSums) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ConsistencyTest,
     ::testing::Values(
-        ConsistencyParam{Architecture::kLapse, false, StorageKind::kDense},
-        ConsistencyParam{Architecture::kLapse, true, StorageKind::kDense},
-        ConsistencyParam{Architecture::kLapse, false, StorageKind::kSparse},
-        ConsistencyParam{Architecture::kClassicFastLocal, false,
-                         StorageKind::kDense},
-        ConsistencyParam{Architecture::kClassic, false,
-                         StorageKind::kDense}),
+        ConsistencyParam{Architecture::kLapse, false},
+        ConsistencyParam{Architecture::kLapse, true},
+        ConsistencyParam{Architecture::kClassicFastLocal, false},
+        ConsistencyParam{Architecture::kClassic, false}),
     ParamName);
 
 // Sequential consistency property (2): with two workers pushing

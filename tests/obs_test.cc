@@ -21,10 +21,9 @@
 #include "util/rng.h"
 
 // The observability layer: log-bucketed histogram accuracy against exact
-// sorted percentiles, lossy-but-never-blocking event rings, concurrent
-// record-while-snapshot safety (this file runs under the tsan ctest
-// label), and the end-to-end path from sampled ops through the collector
-// to finalized records and JSON exports.
+// sorted percentiles, concurrent record-while-snapshot safety (this file
+// runs under the tsan ctest label), and the end-to-end path from sampled
+// ops through the collector to finalized records and JSON exports.
 
 namespace lapse {
 namespace {
@@ -122,69 +121,6 @@ TEST(HistogramTest, ConcurrentAddWhileSummarizing) {
   EXPECT_LE(s.p95, s.p99);
   EXPECT_LE(s.p99, s.p999);
   EXPECT_LE(s.p999, s.max);
-}
-
-// ------------------------------------------------------- EventRing ------
-
-TEST(EventRingTest, OverflowDropsAndCountsInsteadOfBlocking) {
-  obs::EventRing ring(64);
-  EXPECT_EQ(ring.capacity(), 64u);
-  for (size_t i = 0; i < ring.capacity(); ++i) {
-    EXPECT_TRUE(ring.TryPush(obs::TraceEvent::Mark(
-        i, obs::Phase::kReplicaMiss, /*node=*/0)));
-  }
-  // Full: pushes fail fast, the drop counter advances, nothing blocks.
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(ring.TryPush(
-        obs::TraceEvent::Mark(999, obs::Phase::kReplicaMiss, /*node=*/0)));
-  }
-  EXPECT_EQ(ring.dropped(), 10);
-
-  // Draining frees the space again and preserves FIFO order.
-  std::vector<obs::TraceEvent> out;
-  EXPECT_EQ(ring.Drain(&out), 64u);
-  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].uid, i);
-  EXPECT_TRUE(ring.TryPush(
-      obs::TraceEvent::Mark(1000, obs::Phase::kReplicaMiss, /*node=*/0)));
-}
-
-TEST(EventRingTest, CapacityRoundsUpToPowerOfTwo) {
-  obs::EventRing ring(100);
-  EXPECT_EQ(ring.capacity(), 128u);
-}
-
-TEST(EventRingTest, ConcurrentProducerConsumer) {
-  obs::EventRing ring(256);
-  constexpr uint64_t kEvents = 50'000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kEvents; ++i) {
-      ring.TryPush(obs::TraceEvent::Complete(i, static_cast<int64_t>(i),
-                                             /*node=*/0));
-    }
-  });
-  std::vector<obs::TraceEvent> out;
-  uint64_t last_uid = 0;
-  bool first = true;
-  while (true) {
-    out.clear();
-    ring.Drain(&out);
-    for (const obs::TraceEvent& ev : out) {
-      // Drops lose events but never reorder or duplicate the survivors.
-      if (!first) {
-        EXPECT_GT(ev.uid, last_uid);
-      }
-      last_uid = ev.uid;
-      first = false;
-    }
-    if (last_uid == kEvents - 1 ||
-        static_cast<uint64_t>(ring.dropped()) + last_uid + 1 >= kEvents) {
-      break;
-    }
-  }
-  producer.join();
-  out.clear();
-  ring.Drain(&out);
-  EXPECT_EQ(ring.Drain(&out), 0u);
 }
 
 // ------------------------------------------------- MetricsRegistry ------

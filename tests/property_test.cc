@@ -10,8 +10,8 @@
 #include "util/timer.h"
 
 // Property-style sweeps: randomized workloads across the full configuration
-// matrix (node counts x architectures x storage x latency x caches), all
-// checking the same conservation invariants:
+// matrix (node counts x architectures x latency x caches x shards x
+// coalescing x strategies), all checking the same conservation invariants:
 //
 //   (P1) cumulative pushes are conserved: the final sum over all keys
 //        equals exactly the sum of all issued updates;
@@ -29,7 +29,6 @@ struct SweepParam {
   int nodes;
   int workers;
   Architecture arch;
-  StorageKind storage;
   bool caches;
   bool latency;  // zero vs small LAN latency
   int server_threads = 1;  // server drain threads (key-range shards)
@@ -42,7 +41,6 @@ std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string s = "n" + std::to_string(p.nodes) + "w" +
                   std::to_string(p.workers);
   s += ArchitectureName(p.arch);
-  s += StorageKindName(p.storage);
   if (p.caches) s += "Cached";
   if (p.latency) s += "Lan";
   if (p.server_threads > 1) {
@@ -65,7 +63,6 @@ class PsPropertyTest : public ::testing::TestWithParam<SweepParam> {
     cfg.num_keys = keys;
     cfg.uniform_value_length = len;
     cfg.arch = p.arch;
-    cfg.storage = p.storage;
     cfg.location_caches = p.caches;
     if (p.latency) {
       cfg.latency.remote_base_ns = 3000;
@@ -167,66 +164,49 @@ TEST_P(PsPropertyTest, PrivateCounterReadYourWrites) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PsPropertyTest,
     ::testing::Values(
-        SweepParam{1, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false},
-        SweepParam{2, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
-                   false},
-        SweepParam{4, 2, Architecture::kLapse, StorageKind::kDense, true,
-                   false},
-        SweepParam{4, 1, Architecture::kLapse, StorageKind::kDense, false,
-                   true},
-        SweepParam{2, 2, Architecture::kClassicFastLocal,
-                   StorageKind::kDense, false, false},
-        SweepParam{2, 2, Architecture::kClassic, StorageKind::kDense, false,
-                   false},
-        SweepParam{3, 2, Architecture::kClassic, StorageKind::kSparse,
-                   false, true},
-        SweepParam{5, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false},
-        SweepParam{8, 1, Architecture::kLapse, StorageKind::kDense, true,
-                   false},
+        SweepParam{1, 2, Architecture::kLapse, false, false},
+        SweepParam{2, 2, Architecture::kLapse, false, false},
+        SweepParam{3, 2, Architecture::kLapse, false, false},
+        SweepParam{4, 2, Architecture::kLapse, true, false},
+        SweepParam{4, 1, Architecture::kLapse, false, true},
+        SweepParam{2, 2, Architecture::kClassicFastLocal, false, false},
+        SweepParam{2, 2, Architecture::kClassic, false, false},
+        SweepParam{3, 2, Architecture::kClassic, false, true},
+        SweepParam{5, 2, Architecture::kLapse, false, false},
+        SweepParam{8, 1, Architecture::kLapse, true, false},
         // Sharded-server sweeps: same invariants with 4 drain threads per
         // node (keyed messages fan out across per-shard inboxes).
-        SweepParam{2, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false, 4},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
-                   false, 4},
-        SweepParam{4, 2, Architecture::kLapse, StorageKind::kDense, true,
-                   true, 4},
-        SweepParam{2, 2, Architecture::kClassic, StorageKind::kDense, false,
-                   false, 4},
+        SweepParam{2, 2, Architecture::kLapse, false, false, 4},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 4},
+        SweepParam{4, 2, Architecture::kLapse, true, true, 4},
+        SweepParam{2, 2, Architecture::kClassic, false, false, 4},
         // Coalescing sweeps: the same invariants must hold when remote ops
         // ride batched envelopes -- in {1,4}-shard configs (shard-pure
         // batches), and under kClassic where every op takes the coalesced
         // remote path.
-        SweepParam{2, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false, 1, true},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
-                   false, 4, true},
-        SweepParam{2, 2, Architecture::kClassic, StorageKind::kDense, false,
-                   false, 1, true},
+        SweepParam{2, 2, Architecture::kLapse, false, false, 1, true},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 4, true},
+        SweepParam{2, 2, Architecture::kClassic, false, false, 1, true},
         // The other location strategies on the one envelope path: every
         // broadcast-ops entry fans out to all peers and only the owner
         // answers; broadcast-relocations routes by mirrored owner views.
         // Each at {1,4} shards x coalescing off/on.
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false, 1, false, LocationStrategy::kBroadcastOps},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false, 1, true, LocationStrategy::kBroadcastOps},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
-                   false, 4, false, LocationStrategy::kBroadcastOps},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
-                   false, 4, true, LocationStrategy::kBroadcastOps},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false, 1, false, LocationStrategy::kBroadcastRelocations},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kDense, false,
-                   false, 1, true, LocationStrategy::kBroadcastRelocations},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
-                   false, 4, false, LocationStrategy::kBroadcastRelocations},
-        SweepParam{3, 2, Architecture::kLapse, StorageKind::kSparse, false,
-                   false, 4, true, LocationStrategy::kBroadcastRelocations}),
+        SweepParam{3, 2, Architecture::kLapse, false, false, 1, false,
+                   LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 1, true,
+                   LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 4, false,
+                   LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 4, true,
+                   LocationStrategy::kBroadcastOps},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 1, false,
+                   LocationStrategy::kBroadcastRelocations},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 1, true,
+                   LocationStrategy::kBroadcastRelocations},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 4, false,
+                   LocationStrategy::kBroadcastRelocations},
+        SweepParam{3, 2, Architecture::kLapse, false, false, 4, true,
+                   LocationStrategy::kBroadcastRelocations}),
     SweepName);
 
 // Relocation-specific properties under a hostile interleaving: every node

@@ -8,39 +8,34 @@
 // Edge cases of the relocation protocol (Section 3.2/3.3 of the paper):
 // chained hand-overs, operations racing with relocations from every
 // vantage point (requester, old owner, third parties), relocation of
-// never-written keys, and interactions with sparse storage.
+// never-written keys, and conservation under relocation churn.
 
 namespace lapse {
 namespace ps {
 namespace {
 
-Config EdgeConfig(int nodes, int workers, uint64_t keys = 16,
-                  StorageKind storage = StorageKind::kDense) {
+Config EdgeConfig(int nodes, int workers, uint64_t keys = 16) {
   Config cfg;
   cfg.num_nodes = nodes;
   cfg.workers_per_node = workers;
   cfg.num_keys = keys;
   cfg.uniform_value_length = 2;
   cfg.arch = Architecture::kLapse;
-  cfg.storage = storage;
   cfg.latency = net::LatencyConfig::Zero();
   cfg.latency.idle_spin_ns = 20'000;
   return cfg;
 }
 
 TEST(ProtocolEdgeTest, RelocateNeverWrittenKeyYieldsZeros) {
-  for (const StorageKind storage :
-       {StorageKind::kDense, StorageKind::kSparse}) {
-    PsSystem system(EdgeConfig(2, 1, 16, storage));
-    system.Run([&](Worker& w) {
-      if (w.node() != 1) return;
-      w.Localize({0});
-      std::vector<Val> buf(2, -1.0f);
-      w.Pull({0}, buf.data());
-      EXPECT_EQ(buf[0], 0.0f);
-      EXPECT_EQ(buf[1], 0.0f);
-    });
-  }
+  PsSystem system(EdgeConfig(2, 1));
+  system.Run([&](Worker& w) {
+    if (w.node() != 1) return;
+    w.Localize({0});
+    std::vector<Val> buf(2, -1.0f);
+    w.Pull({0}, buf.data());
+    EXPECT_EQ(buf[0], 0.0f);
+    EXPECT_EQ(buf[1], 0.0f);
+  });
 }
 
 TEST(ProtocolEdgeTest, ChainedHandOverDeliversToFinalRequester) {
@@ -172,10 +167,11 @@ TEST(ProtocolEdgeTest, PerKeyLengthRelocation) {
   });
 }
 
-TEST(ProtocolEdgeTest, SparseStorageRelocationChurn) {
-  // Sparse stores create/erase map entries on every relocation; heavy
-  // churn across all nodes must not lose values.
-  PsSystem system(EdgeConfig(4, 2, 8, StorageKind::kSparse));
+TEST(ProtocolEdgeTest, RelocationChurnConservesPushes) {
+  // Every node localizes and pushes the same few keys over and over: each
+  // relocation copies a value out and zeroes the slot it leaves, and
+  // heavy churn across all nodes must not lose a single update.
+  PsSystem system(EdgeConfig(4, 2, 8));
   system.Run([&](Worker& w) {
     const std::vector<Val> one = {1.0f, -1.0f};
     for (int i = 0; i < 60; ++i) {

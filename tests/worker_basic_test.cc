@@ -301,10 +301,10 @@ TEST(WorkerTest, BatchedCountersExactAtBarrierAndAfterRun) {
   EXPECT_EQ(system.Sum(&ps::ServerStats::replica_key_writes).sum, 0);
 }
 
-TEST(WorkerTest, SparseStorageBackend) {
-  Config cfg = SmallConfig(Architecture::kLapse);
-  cfg.storage = StorageKind::kSparse;
-  PsSystem system(cfg);
+TEST(WorkerTest, RemotePushVisibleToAllAfterBarrier) {
+  // Key 13 is homed at node 1: worker 0 pushes it over the wire, then the
+  // owner reads it locally and node 0 over the wire.
+  PsSystem system(SmallConfig(Architecture::kLapse));
   system.Run([&](Worker& w) {
     if (w.worker_id() == 0) {
       const std::vector<Val> update = {3.0f, 1.0f};
@@ -315,6 +315,24 @@ TEST(WorkerTest, SparseStorageBackend) {
     w.Pull({13}, buf.data());
     EXPECT_EQ(buf[0], 3.0f);
   });
+}
+
+// Keys within one operation must be distinct. Builds with debug checks
+// die on a repeat (Worker::CheckDistinct); NDEBUG builds run the same
+// statement as a plain pull, which serves the owned key twice.
+TEST(WorkerDeathTest, PullRepeatingOwnedKey) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEBUG_DEATH(
+      {
+        PsSystem system(SmallConfig(Architecture::kLapse, 1, 1));
+        system.Run([](Worker& w) {
+          ASSERT_TRUE(w.IsLocal(3));
+          std::vector<Val> buf(4, -1.0f);
+          w.Pull({3, 3}, buf.data());
+          for (const Val v : buf) EXPECT_EQ(v, 0.0f);
+        });
+      },
+      "duplicate key in one operation");
 }
 
 TEST(SystemTest, SetAndGetValue) {
